@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import enumerate_weighted
-from .errors import GuardError
-from .moduli import ModuliRegion, WeightedShapeSet, uniform_target
-from .randgeom import langford_obtuse_probability
+from .errors import GuardError, check_int_range
+from .moduli import ModuliRegion, WeightedShapeSet, normalized_sides, uniform_target
+from .randgeom import MAX_BINS, langford_obtuse_probability
 
 MAX_ANALYSIS_N = 64
 
@@ -67,15 +67,6 @@ class EquidistReport:
             raise ValueError("gap_to_langford inconsistent with stored values")
 
 
-def _check_analysis_n(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise GuardError(f"n must be an integer, got {n!r}")
-    n = int(n)
-    if not (2 <= n <= MAX_ANALYSIS_N):
-        raise GuardError(f"analysis n must be in [2, {MAX_ANALYSIS_N}], got {n}")
-    return n
-
-
 def curve_point_from_set(n: int, s: WeightedShapeSet) -> ObtuseCurvePoint:
     """Obtuse fractions of an existing census (no re-enumeration)."""
     if len(s) == 0:
@@ -96,13 +87,13 @@ def curve_point_from_set(n: int, s: WeightedShapeSet) -> ObtuseCurvePoint:
 
 
 def obtuse_point(n: int) -> ObtuseCurvePoint:
-    n = _check_analysis_n(n)
+    n = check_int_range(n, "n", 2, MAX_ANALYSIS_N)
     return curve_point_from_set(n, enumerate_weighted(n))
 
 
 def obtuse_curve(n_max: int) -> list[ObtuseCurvePoint]:
     """Obtuse fractions for every n = 2 .. n_max."""
-    n_max = _check_analysis_n(n_max)
+    n_max = check_int_range(n_max, "n_max", 2, MAX_ANALYSIS_N)
     return [obtuse_point(n) for n in range(2, n_max + 1)]
 
 
@@ -127,15 +118,6 @@ def equidist_report(n: int) -> EquidistReport:
     return report_from_point(obtuse_point(n))
 
 
-def _check_bins(bins) -> int:
-    bins = int(bins)
-    if bins < 2:
-        raise GuardError(f"bins must be >= 2, got {bins}")
-    if bins > 4096:
-        raise GuardError(f"bins must be <= 4096, got {bins}")
-    return bins
-
-
 def uniform_bin_masses(bins: int) -> np.ndarray:
     """Mass the uniform measure on {a < 1, b < 1, a + b > 1} puts in each
     cell of a bins x bins grid on [0,1)^2.
@@ -145,7 +127,7 @@ def uniform_bin_masses(bins: int) -> np.ndarray:
     outside (i + j <= bins - 2), or exactly half covered along the
     diagonal i + j = bins - 1.  Masses are exact rationals in floats:
     2/bins^2, 0, and 1/bins^2."""
-    bins = _check_bins(bins)
+    bins = check_int_range(bins, "bins", 2, MAX_BINS)
     i = np.arange(bins)[:, None]
     j = np.arange(bins)[None, :]
     masses = np.zeros((bins, bins), dtype=np.float64)
@@ -164,13 +146,7 @@ def orbit_projections(s: WeightedShapeSet) -> tuple[np.ndarray, np.ndarray, np.n
     if len(s) == 0:
         raise GuardError("empty census")
     p, q, r, w = s.columns()
-    la = np.sqrt(p.astype(np.float64))
-    lb = np.sqrt(q.astype(np.float64))
-    lc = np.sqrt(r.astype(np.float64))
-    half = (la + lb + lc) / 2.0
-    a = la / half
-    b = lb / half
-    c = lc / half
+    a, b, c = normalized_sides(p, q, r)
 
     eq_pq = p == q
     eq_qr = q == r
@@ -204,7 +180,7 @@ def orbit_projections(s: WeightedShapeSet) -> tuple[np.ndarray, np.ndarray, np.n
 
 def orbit_bin_masses(s: WeightedShapeSet, bins: int) -> np.ndarray:
     """Normalized bin masses of the labeled orbit projections of s."""
-    bins = _check_bins(bins)
+    bins = check_int_range(bins, "bins", 2, MAX_BINS)
     x, y, w = orbit_projections(s)
     ix = np.clip((x * bins).astype(np.int64), 0, bins - 1)
     iy = np.clip((y * bins).astype(np.int64), 0, bins - 1)

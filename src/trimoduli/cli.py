@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage errors (argparse), 3 violated guards or
-invalid values, 4 failed numeric post-conditions, 1 I/O failures.  All
-outputs are deterministic for identical flags; TRIMODULI_THREADS only caps
+invalid values, 4 failed numeric post-conditions, 1 I/O failures or a
+worker process that died (for example, killed for running out of memory).
+All outputs are deterministic for identical flags; TRIMODULI_THREADS only caps
 workers and never changes bytes.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 from .analysis import equidist_report, obtuse_curve, orbit_projections
@@ -213,6 +215,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         name = getattr(exc, "filename", None) or "<io>"
         print(f"error: {name}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenExecutor as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 1
 
 

@@ -26,12 +26,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import GuardError
-from .lattice import SimilarityKey, reduced_triple
+from .errors import GuardError, check_int_range
+from .lattice import SimilarityKey, pack_key, reduced_triple, unpack_key
 from .moduli import WeightedShapeSet
 from .parallel import map_ordered, worker_count
 
-MAX_N = 512
+# Keys pack into one int64 word as three fields of (8 n^2).bit_length()
+# bits: 8 * 511^2 has 21 bits and 3 * 21 = 63, while 8 * 512^2 = 2^21
+# needs 22.  So 511 is the largest n whose keys pack.
+MAX_N = 511
 NAIVE_POINT_GUARD = 400  # enumerate_naive is cubic in the point count
 
 _ROW_TARGET = 1 << 20  # ordered pairs per vectorized batch
@@ -89,39 +92,25 @@ class TranslationClass:
 
 def translation_multiplicity(box: BoundingBox, n: int) -> int:
     """Number of translates of a w x h bounding box inside [-n, n]^2."""
-    _check_n(n)
+    n = check_int_range(n, "n", 1, MAX_N)
     span = 2 * n
     if box.w > span or box.h > span:
         return 0
     return (span + 1 - box.w) * (span + 1 - box.h)
 
 
-def _check_n(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise GuardError(f"n must be an integer, got {n!r}")
-    n = int(n)
-    if not (1 <= n <= MAX_N):
-        raise GuardError(f"n must be in [1, {MAX_N}], got {n}")
-    return n
-
-
-def _batch_totals(n: int, lo: int, hi: int, reverse: bool = False):
+def _batch_totals(n: int, lo: int, hi: int):
     """Accumulate translate multiplicities over ordered pairs whose u-index
     lies in [lo, hi).  Returns (packed keys, int64 totals) with packed keys
-    sorted ascending; packing is (p << 2s) | (q << s) | r which preserves
-    lexicographic order of the reduced triples."""
+    sorted ascending; pack_key preserves the lexicographic order of the
+    reduced triples."""
     span = 2 * n
     side = 2 * span + 1
-    shift = _pack_shift(n)
 
     c = np.arange(-span, span + 1, dtype=np.int64)
     vx = np.repeat(c, side)
     vy = np.tile(c, side)
     idx = np.arange(lo, hi, dtype=np.int64)
-    if reverse:
-        idx = idx[::-1]
-        vx = vx[::-1].copy()
-        vy = vy[::-1].copy()
     ux = (idx // side - span)[:, None]
     uy = (idx % side - span)[:, None]
 
@@ -152,7 +141,7 @@ def _batch_totals(n: int, lo: int, hi: int, reverse: bool = False):
     mid //= g
     hi3 //= g
 
-    packed = (lo3 << (2 * shift)) | (mid << shift) | hi3
+    packed = pack_key(lo3, mid, hi3, _pack_shift(n))
     keys, inverse = np.unique(packed, return_inverse=True)
     totals = np.zeros(len(keys), dtype=np.int64)
     np.add.at(totals, inverse, mult)  # exact int64 accumulation
@@ -160,12 +149,8 @@ def _batch_totals(n: int, lo: int, hi: int, reverse: bool = False):
 
 
 def _pack_shift(n: int) -> int:
-    shift = (8 * n * n).bit_length()
-    if 3 * shift > 63:
-        # n = 512 alone overflows the single-word packing; keys then carry
-        # 22-bit fields and need 66 bits.  Pack (p, q) and r separately.
-        return -1
-    return shift
+    # key entries are squared sides of the pairs, at most 8 n^2
+    return (8 * n * n).bit_length()
 
 
 def _merge_parts(parts):
@@ -177,21 +162,14 @@ def _merge_parts(parts):
     return uniq, totals
 
 
-def _ordered_pair_totals(n: int, reverse: bool = False):
+def _ordered_pair_totals(n: int):
     """Raw per-key multiplicity sums over all ordered pairs, before the
     division by 6.  Returns (p, q, r, totals) columns sorted by (p, q, r)."""
-    n = _check_n(n)
-    shift = _pack_shift(n)
-    if shift < 0:
-        return _ordered_pair_totals_wide(n, reverse)
+    n = check_int_range(n, "n", 1, MAX_N)
     side = 4 * n + 1
     u_total = side * side
     batch = max(1, _ROW_TARGET // u_total)
-    ranges = [
-        (n, b, min(b + batch, u_total), reverse) for b in range(0, u_total, batch)
-    ]
-    if reverse:
-        ranges = ranges[::-1]
+    ranges = [(n, b, min(b + batch, u_total)) for b in range(0, u_total, batch)]
 
     workers = worker_count()
     parts: list = []
@@ -203,83 +181,13 @@ def _ordered_pair_totals(n: int, reverse: bool = False):
             parts = [_merge_parts(parts)]
             rows = len(parts[0][0])
     keys, totals = _merge_parts(parts) if len(parts) != 1 else parts[0]
-
-    mask = np.int64((1 << shift) - 1)
-    p = keys >> (2 * shift)
-    q = (keys >> shift) & mask
-    r = keys & mask
-    return p, q, r, totals
+    return (*unpack_key(keys, _pack_shift(n)), totals)
 
 
-def _ordered_pair_totals_wide(n: int, reverse: bool):
-    # Fallback for keys wider than a 63-bit pack: unique over 2-D rows.
-    # Only n = 512 reaches this; kept correct rather than fast.
-    span = 2 * n
-    side = 2 * span + 1
-    u_total = side * side
-    batch = max(1, _ROW_TARGET // u_total)
-    rows_parts = []
-    weight_parts = []
-    order = range(0, u_total, batch)
-    for b in order if not reverse else reversed(list(order)):
-        keys, totals = _batch_totals_wide(n, b, min(b + batch, u_total), reverse)
-        rows_parts.append(keys)
-        weight_parts.append(totals)
-    allrows = np.concatenate(rows_parts)
-    allweights = np.concatenate(weight_parts)
-    uniq, inverse = np.unique(allrows, axis=0, return_inverse=True)
-    totals = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(totals, np.asarray(inverse).ravel(), allweights)
-    return uniq[:, 0], uniq[:, 1], uniq[:, 2], totals
-
-
-def _batch_totals_wide(n: int, lo: int, hi: int, reverse: bool):
-    # Same pair scan as _batch_totals but deduplicating on (p, q, r) rows.
-    span = 2 * n
-    side = 2 * span + 1
-    c = np.arange(-span, span + 1, dtype=np.int64)
-    vx = np.repeat(c, side)
-    vy = np.tile(c, side)
-    idx = np.arange(lo, hi, dtype=np.int64)
-    if reverse:
-        idx = idx[::-1]
-        vx = vx[::-1].copy()
-        vy = vy[::-1].copy()
-    ux = (idx // side - span)[:, None]
-    uy = (idx % side - span)[:, None]
-    valid = (ux * vy - uy * vx) != 0
-    wspan = np.maximum(np.maximum(ux, vx), 0) - np.minimum(np.minimum(ux, vx), 0)
-    valid &= wspan <= span
-    hspan = np.maximum(np.maximum(uy, vy), 0) - np.minimum(np.minimum(uy, vy), 0)
-    valid &= hspan <= span
-    mult = ((span + 1 - wspan) * (span + 1 - hspan))[valid]
-    UX = np.broadcast_to(ux, valid.shape)[valid]
-    UY = np.broadcast_to(uy, valid.shape)[valid]
-    VX = np.broadcast_to(vx, valid.shape)[valid]
-    VY = np.broadcast_to(vy, valid.shape)[valid]
-    p0 = UX * UX + UY * UY
-    q0 = VX * VX + VY * VY
-    r0 = (VX - UX) ** 2 + (VY - UY) ** 2
-    lo3 = np.minimum(np.minimum(p0, q0), r0)
-    hi3 = np.maximum(np.maximum(p0, q0), r0)
-    mid = p0 + q0 + r0 - lo3 - hi3
-    g = np.gcd(np.gcd(lo3, mid), hi3)
-    rows = np.stack([lo3 // g, mid // g, hi3 // g], axis=1)
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    totals = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(totals, np.asarray(inverse).ravel(), mult)
-    return uniq, totals
-
-
-def enumerate_weighted(n: int, *, _reverse: bool = False) -> WeightedShapeSet:
+def enumerate_weighted(n: int) -> WeightedShapeSet:
     """Weighted census of all lattice triangles with vertices in [-n, n]^2,
-    keyed by similarity class.
-
-    The _reverse knob re-runs the scan with the iteration order of u and v
-    reversed; the result must be identical and the equality is exercised by
-    the test suite, not here.
-    """
-    p, q, r, totals = _ordered_pair_totals(n, reverse=_reverse)
+    keyed by similarity class."""
+    p, q, r, totals = _ordered_pair_totals(n)
     bad = totals % 6
     if np.any(bad):
         raise RuntimeError(

@@ -8,11 +8,29 @@ Two failure families matter at the boundaries:
 * ``PrecisionError`` -- a verified numeric post-condition failed.  These
   are raised after the fact: the algorithm produced a witness, the witness
   was re-checked, and the check did not hold.
+
+``check_int_range`` is the one integer-range guard the entry points share.
 """
+
+import operator
 
 
 class GuardError(ValueError):
     """A runtime guard rejected the arguments."""
+
+
+def check_int_range(value, name: str, lo: int, hi: int) -> int:
+    """value as an int when it is an integer (not a bool) in [lo, hi];
+    GuardError otherwise."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        v = None
+    if v is None or isinstance(value, bool):
+        raise GuardError(f"{name} must be an integer, got {value!r}")
+    if not (lo <= v <= hi):
+        raise GuardError(f"{name} must be in [{lo}, {hi}], got {v}")
+    return v
 
 
 class PrecisionError(RuntimeError):

@@ -26,7 +26,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import GuardError
-from .lattice import SimilarityKey
+from .lattice import KEY_WORD_BITS, SimilarityKey, pack_key
 
 SUM_TOL = 1e-12
 
@@ -106,12 +106,21 @@ class PlanePoint:
             raise ValueError(f"point ({self.a}, {self.b}) outside the region a + b > 1")
 
 
+def normalized_sides(p, q, r):
+    """Side lengths sqrt(p), sqrt(q), sqrt(r) of squared sides p, q, r,
+    scaled so they sum to 2.  Elementwise over arrays; integer squared
+    sides are converted to float64 first.  Every shape coordinate in the
+    package (shape_of, orbit projections, exports, histogram bins) comes
+    from here."""
+    la, lb, lc = (np.sqrt(np.asarray(x, dtype=np.float64)) for x in (p, q, r))
+    half = (la + lb + lc) / 2.0
+    return la / half, lb / half, lc / half
+
+
 def shape_of(key: SimilarityKey) -> ShapeTriple:
     """Normalized side lengths of the similarity class: sides sqrt(p) <=
     sqrt(q) <= sqrt(r) scaled so they sum to 2."""
-    sp, sq, sr = math.sqrt(key.p), math.sqrt(key.q), math.sqrt(key.r)
-    half = (sp + sq + sr) / 2.0
-    return ShapeTriple(sp / half, sq / half, sr / half)
+    return ShapeTriple(*normalized_sides(key.p, key.q, key.r))
 
 
 def to_plane(t: LabeledTriple) -> PlanePoint:
@@ -224,7 +233,7 @@ class WeightedShapeSet:
             rows.append((*trip, w))
         rows.sort()
         cols = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
-        self._init_columns(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3], checked=True)
+        self._init_columns(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])
 
     @classmethod
     def from_columns(cls, p, q, r, w) -> "WeightedShapeSet":
@@ -237,14 +246,13 @@ class WeightedShapeSet:
             np.ascontiguousarray(q, dtype=np.int64),
             np.ascontiguousarray(r, dtype=np.int64),
             np.ascontiguousarray(w, dtype=np.int64),
-            checked=False,
         )
         return self
 
-    def _init_columns(self, p, q, r, w, checked: bool):
+    def _init_columns(self, p, q, r, w):
         if not (len(p) == len(q) == len(r) == len(w)):
             raise ValueError("column lengths differ")
-        if not checked and len(p):
+        if len(p):
             if np.any(w <= 0):
                 raise ValueError("weights must be positive")
             if np.any((p < 1) | (p > q) | (q > r)):
@@ -265,7 +273,8 @@ class WeightedShapeSet:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_total", int(w.sum()))
         object.__setattr__(self, "_packed", None)
-        shift = int(r[-1]).bit_length() if len(r) else 1
+        # p <= q <= r in every row, so the largest r is the widest entry
+        shift = int(r.max()).bit_length() if len(r) else 1
         object.__setattr__(self, "_shift", shift)
 
     @property
@@ -282,8 +291,8 @@ class WeightedShapeSet:
     def _pack(self) -> np.ndarray:
         if self._packed is None:
             s = self._shift
-            if 3 * s <= 63:
-                packed = (self._p << (2 * s)) | (self._q << s) | self._r
+            if 3 * s <= KEY_WORD_BITS:
+                packed = pack_key(self._p, self._q, self._r, s)
             else:  # keys too wide for one word; packed lookup disabled
                 packed = None
             object.__setattr__(self, "_packed", packed)
@@ -298,7 +307,7 @@ class WeightedShapeSet:
             s = self._shift
             if any(v < 0 or v.bit_length() > s for v in trip):
                 return -1
-            target = (trip[0] << (2 * s)) | (trip[1] << s) | trip[2]
+            target = pack_key(*trip, s)
             i = int(np.searchsorted(packed, target))
             if i < len(packed) and packed[i] == target:
                 return i

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import GuardError, check_int_range
+from .moduli import normalized_sides
 from .parallel import map_ordered, worker_count
 from .rng import BLOCK_SAMPLES, block_generator, block_sizes
 
@@ -179,13 +180,7 @@ def _histogram_block(
     u = _triangle_uniforms(gen, size)
     ab, bc, ca = _squared_sides_cols(u)
     obtuse = int(np.count_nonzero(_obtuse_mask(ab, bc, ca)))
-    la = np.sqrt(ab)
-    lb = np.sqrt(bc)
-    lc = np.sqrt(ca)
-    half = (la + lb + lc) / 2.0
-    na = la / half
-    nb = lb / half
-    nc = lc / half
+    na, nb, nc = normalized_sides(ab, bc, ca)
     if labeled:
         x = np.concatenate([na, na, nb, nb, nc, nc])
         y = np.concatenate([nb, nc, na, nc, na, nb])
@@ -204,12 +199,10 @@ def shape_histogram(
 ) -> Histogram2D:
     """Histogram of sampled triangle shapes on the ab-plane."""
     samples = int(samples)
-    bins = int(bins)
+    bins = check_int_range(bins, "bins", 2, MAX_BINS)
     seed = int(seed)
     if samples < 1:
         raise GuardError(f"samples must be >= 1, got {samples}")
-    if not (2 <= bins <= MAX_BINS):
-        raise GuardError(f"bins must be in [2, {MAX_BINS}], got {bins}")
     sizes = block_sizes(samples)
     args = [(seed, i, sz, bins, labeled) for i, sz in enumerate(sizes)]
     grid = np.zeros((bins, bins), dtype=np.int64)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import EquidistReport, ObtuseCurvePoint
 from .errors import GuardError
-from .moduli import WeightedShapeSet
+from .moduli import WeightedShapeSet, normalized_sides
 from .randgeom import Histogram2D, McEstimate
 
 WSET_SCHEMA = "trimoduli.weighted-set.v1"
@@ -35,19 +35,11 @@ def _angle_names(p, q, r) -> np.ndarray:
     return np.where(r == p + q, "right", out)
 
 
-def _shape_columns(p, q, r):
-    la = np.sqrt(p.astype(np.float64))
-    lb = np.sqrt(q.astype(np.float64))
-    lc = np.sqrt(r.astype(np.float64))
-    half = (la + lb + lc) / 2.0
-    return la / half, lb / half, lc / half
-
-
 def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:
     """Serialize a weighted census, rows sorted by (p, q, r)."""
     p, q, r, w = s.columns()
     angles = _angle_names(p, q, r)
-    a, b, c = _shape_columns(p, q, r)
+    a, b, c = normalized_sides(p, q, r)
     if fmt == "csv":
         lines = [f"# schema: {WSET_SCHEMA}", _WSET_COLUMNS]
         cols = zip(

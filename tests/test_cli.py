@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,8 @@ class TestExitCodes:
     def test_guard_violation_is_3(self, capsys):
         assert main(["enumerate", "--n", "0"]) == 3
         assert "error:" in capsys.readouterr().err
+        assert main(["enumerate", "--n", "512"]) == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_invalid_triangle_sides_is_3(self, capsys):
         assert main(["approx", "--a", "1", "--b", "1", "--c", "5", "--eps", "0.01"]) == 3
@@ -71,6 +74,14 @@ class TestExitCodes:
     def test_io_failure_is_1(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "x.csv"
         assert main(["enumerate", "--n", "1", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_dead_worker_is_1(self, capsys, monkeypatch):
+        def die(n):
+            raise BrokenProcessPool("a worker was killed")
+
+        monkeypatch.setattr("trimoduli.cli.enumerate_weighted", die)
+        assert main(["enumerate", "--n", "2"]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_plot_requires_out(self):

@@ -7,7 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimoduli as tm
+from trimoduli import enumeration
 from trimoduli.enumeration import _ordered_pair_totals
+
+
+def collinear_triples_on_grid(side: int) -> int:
+    """Collinear point triples in a side x side grid, in O(side^2).
+
+    Each collinear triple is counted once by its two outer points: a pair
+    with difference (dx, dy) has gcd(dx, dy) - 1 lattice points strictly
+    between, and (side - |dx|)(side - |dy|) placements.  Difference vectors
+    range over a half-plane so each unordered pair counts once."""
+    total = 0
+    for dx in range(side):
+        for dy in range(-(side - 1), side):
+            if dx == 0 and dy <= 0:
+                continue
+            total += (math.gcd(dx, dy) - 1) * (side - dx) * (side - abs(dy))
+    return total
 
 
 class TestMultiplicity:
@@ -76,8 +93,14 @@ class TestWeightedCensus:
         assert s2.total_weight == 2148
         assert tm.total_triangle_count(3) == 17600
 
-    def test_reverse_iteration_identical(self, s2):
-        assert tm.enumerate_weighted(2, _reverse=True) == s2
+    # n = 2 scans 81 u-rows: one row per batch, and 7 rows per batch with a
+    # ragged last batch of 4
+    @pytest.mark.parametrize("row_target", [1, 7 * 81])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_batch_split_invariance(self, s2, monkeypatch, row_target, threads):
+        monkeypatch.setattr(enumeration, "_ROW_TARGET", row_target)
+        monkeypatch.setenv(tm.ENV_THREADS, threads)
+        assert tm.enumerate_weighted(2) == s2
 
     def test_ordered_pair_totals_divisible_by_six(self):
         for n in (1, 2, 3):
@@ -105,6 +128,8 @@ class TestWeightedCensus:
             tm.enumerate_weighted(0)
         with pytest.raises(tm.GuardError):
             tm.enumerate_weighted(tm.MAX_N + 1)
+        with pytest.raises(tm.GuardError):
+            tm.enumerate_weighted(512)
         with pytest.raises(tm.GuardError):
             tm.enumerate_weighted("2")
 
@@ -144,3 +169,23 @@ def test_census_total_identity(n):
     pts = (2 * n + 1) ** 2
     expected = math.comb(pts, 3) - tm.collinear_triple_count((-n, n, -n, n))
     assert s.total_weight == expected
+
+
+class TestCensusInvariantsAtScale:
+    def test_grid_collinear_formula_matches_brute_force(self):
+        for n in (1, 2, 3):
+            assert collinear_triples_on_grid(2 * n + 1) == tm.collinear_triple_count(
+                (-n, n, -n, n)
+            )
+
+    def test_n31_total_is_all_triples_minus_collinear(self, s31):
+        side = 63
+        expected = math.comb(side * side, 3) - collinear_triples_on_grid(side)
+        assert expected == 10_396_883_248
+        assert s31.total_weight == expected
+
+    def test_max_n_is_the_single_word_packing_bound(self):
+        def bits(n):
+            return 3 * (8 * n * n).bit_length()
+
+        assert bits(tm.MAX_N) <= 63 < bits(tm.MAX_N + 1)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimoduli as tm
+from trimoduli.moduli import normalized_sides
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
@@ -33,6 +34,15 @@ class TestShapeOf:
         # perfect squares make the normalization exact in floating point
         s = tm.shape_of(tm.SimilarityKey(9, 16, 25))
         assert s.triple == (0.5, 4.0 / 6.0, 5.0 / 6.0)
+
+    def test_normalized_sides_scalars_match_arrays(self):
+        p = np.array([1, 2, 9, 1], dtype=np.int64)
+        q = np.array([1, 9, 16, 2], dtype=np.int64)
+        r = np.array([2, 17, 25, 5], dtype=np.int64)
+        cols = normalized_sides(p, q, r)
+        for i in range(len(p)):
+            s = tm.shape_of(tm.SimilarityKey(int(p[i]), int(q[i]), int(r[i])))
+            assert s.triple == tuple(float(col[i]) for col in cols)
 
     def test_sorted_output(self):
         s = tm.shape_of(tm.SimilarityKey(2, 9, 17))
@@ -230,6 +240,26 @@ class TestWeightedShapeSet:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             tm.WeightedShapeSet({tm.SimilarityKey(1, 1, 2): 0})
+
+    def test_rejects_duplicate_keys_in_mapping(self):
+        # a SimilarityKey and an equal plain tuple are distinct dict keys
+        with pytest.raises(ValueError):
+            tm.WeightedShapeSet({tm.SimilarityKey(1, 1, 2): 1, (1, 1, 2): 2})
+
+    def test_lookup_when_widest_entry_is_not_in_last_row(self):
+        # rows sort by p, so the last row (2, 2, 3) is not the widest
+        s = tm.WeightedShapeSet({(1, 50, 55): 3, (2, 2, 3): 1})
+        assert s.weight_of((1, 50, 55)) == 3
+        assert (2, 2, 3) in s
+        census = tm.enumerate_weighted(3)
+        assert all(census.weight_of(k) == w for k, w in census.items())
+
+    def test_lookup_of_keys_too_wide_to_pack(self):
+        wide = (1, 2**22, 2**22 + 1)
+        s = tm.WeightedShapeSet({wide: 5, (1, 1, 2): 1})
+        assert s.weight_of(wide) == 5
+        assert s.weight_of((1, 1, 2)) == 1
+        assert (1, 2, 5) not in s
 
 
 class TestDiracRatio:

@@ -1,5 +1,6 @@
 """Deterministic text formats and their round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -131,3 +132,34 @@ class TestWriteText:
     def test_propagates_io_errors(self, tmp_path):
         with pytest.raises(OSError):
             tm.write_text(str(tmp_path / "missing" / "out.csv"), "x")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPinnedExportDigests:
+    """Export bytes are part of the contract: these digests hold for every
+    refactor that leaves the exported results unchanged."""
+
+    def test_census_n4_csv(self):
+        text = tm.export_weighted_set(tm.enumerate_weighted(4))
+        assert _sha256(text) == (
+            "d636adb5033b6fa0598077945f48c97b67b0b3c1e09d8cd8720273992643fc4a"
+        )
+
+    def test_census_n31_csv(self, s31):
+        assert _sha256(tm.export_weighted_set(s31)) == (
+            "51ab0515cece5d425a40f42266a9cd0a3dd0d46981783dd56e0a6a49d148f78b"
+        )
+
+    def test_curve_n5_csv(self):
+        assert _sha256(tm.export_curve(tm.obtuse_curve(5))) == (
+            "3892f81b149e4f295b4f657f9ae681cc51e206717558533a21324d818e288fb3"
+        )
+
+    def test_histogram_csv(self):
+        h = tm.shape_histogram(200000, 64, 0)
+        assert _sha256(tm.export_histogram(h)) == (
+            "af09281a3f36e79e9bf97b437feb7ce7ebfb561eb9a423e023701b44a15cc107"
+        )
