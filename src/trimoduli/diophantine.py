@@ -1,4 +1,4 @@
-"""Pigeonhole Dirichlet approximation and lattice approximants of shapes.
+"""Dirichlet approximation and lattice approximants of shapes.
 
 The 1-D and 2-D approximators run the textbook pigeonhole scan: drop the
 fractional parts of k*x (or (k*x, k*y)) into equal boxes until two land in
@@ -6,6 +6,11 @@ the same box, then subtract.  The scan is deterministic and termination is
 guaranteed by counting, but the scan length grows like the box count for
 badly approximable inputs, so the eps guards below bound the work as well
 as the floating-point error.
+
+Shape approximants come from a direct scan instead: place the target on
+the unit base, scale by m = 1, 2, ... and round the apex to the nearest
+lattice point.  The first m whose triangle lands within eps is returned,
+so the witness is the smallest base along that ray.
 
 Every witness is re-verified against the requested bound after the scan;
 a failed verification raises PrecisionError rather than returning a wrong
@@ -21,12 +26,14 @@ import numpy as np
 
 from .errors import GuardError, PrecisionError
 from .lattice import LatticePoint, LatticeTriangle, similarity_key
-from .moduli import ShapeTriple, shape_of
+from .moduli import ShapeTriple, normalized_sides, shape_of
 
 EPS_FLOOR_1D = 1e-12
 EPS_FLOOR_2D = 1e-9
 EPS_FLOOR_SHAPE = 1e-6
-_HALVINGS = 20
+# Largest base approximate_shape tries: squared sides stay below 2 m^2 <=
+# 2^49, so they and the rounded apex are exact in float64.
+_MAX_BASE = 1 << 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,37 +242,47 @@ def approximate_shape(target: ShapeTriple, eps: float) -> LatticeTriangle:
     """Lattice triangle whose normalized shape is within eps of target
     (Euclidean distance on the sorted normalized side triples).
 
-    Scales the apex of the unit-base placement by the Dirichlet multiplier:
-    if max(|m x - nx|, |m y - ny|) < delta then (0,0), (m,0), (nx, ny) has
-    shape within ~delta*sqrt(2)/m of target.  delta starts at eps/4 and is
-    halved (up to 20 times) until the verified distance beats eps."""
+    Scans the ray of the unit-base placement: with (x, y) the apex from
+    shape_to_vertex, the candidates are (0,0), (m,0), (rint(m x), rint(m y))
+    for m = 1, 2, ..., in windows that double up to _SCAN_BLOCK.  Rows with
+    a zero apex height are degenerate and skipped; the rest are filtered by
+    their float distance and checked in order of m against the exact key's
+    shape.  Returns the first candidate that passes, i.e. the smallest base
+    on the ray.  Raises PrecisionError once m reaches _MAX_BASE, the bound
+    that keeps every squared side exact in float64."""
     eps = float(eps)
     if not (eps >= EPS_FLOOR_SHAPE):
         raise GuardError(f"eps must be >= {EPS_FLOOR_SHAPE}, got {eps}")
     apex = shape_to_vertex(target)
-    delta = eps / 4.0
-    last_exc: Exception | None = None
-    for _ in range(_HALVINGS + 1):
-        if delta < EPS_FLOOR_2D:
-            break
-        app = dirichlet_2d(apex.x, apex.y, delta)
-        try:
+    goal = np.array(target.triple).reshape(3, 1)
+    # the filter runs on unreduced sides and may differ from the verified
+    # distance in the last bits; the slack keeps it from dropping a row
+    # the verification would accept, so the first verified m is minimal
+    loose = eps * (1.0 + 1e-9)
+    lo, width = 1, 64
+    while lo < _MAX_BASE:
+        m = np.arange(lo, min(lo + width, _MAX_BASE), dtype=np.float64)
+        lo += width
+        width = min(2 * width, _SCAN_BLOCK)
+        cx = np.rint(m * apex.x)
+        cy = np.rint(m * apex.y)
+        keep = cy != 0.0
+        m, cx, cy = m[keep], cx[keep], cy[keep]
+        sides = np.sort(
+            np.stack(normalized_sides(cx * cx + cy * cy, (m - cx) ** 2 + cy * cy, m * m)),
+            axis=0,
+        )
+        dist = np.sqrt(np.square(sides - goal).sum(axis=0))
+        for i in np.flatnonzero(dist < loose):
             cand = LatticeTriangle(
                 LatticePoint(0, 0),
-                LatticePoint(app.m, 0),
-                LatticePoint(app.nx, app.ny),
+                LatticePoint(int(m[i]), 0),
+                LatticePoint(int(cx[i]), int(cy[i])),
             )
-            achieved = shape_of(similarity_key(cand)).distance_to(target)
-        except ValueError as exc:  # degenerate witness; tighten and retry
-            last_exc = exc
-            delta /= 2.0
-            continue
-        if achieved < eps:
-            return cand
-        delta /= 2.0
+            if shape_of(similarity_key(cand)).distance_to(target) < eps:
+                return cand
     raise PrecisionError(
-        f"no lattice approximant within {eps} of {target} after {_HALVINGS} refinements"
-        + (f" (last failure: {last_exc})" if last_exc else "")
+        f"no lattice approximant within {eps} of {target} with base below {_MAX_BASE}"
     )
 
 

@@ -197,14 +197,10 @@ def enumerate_weighted(n: int) -> WeightedShapeSet:
     return WeightedShapeSet.from_columns(p, q, r, totals // 6)
 
 
-def enumerate_naive(box: tuple[int, int, int, int]) -> WeightedShapeSet:
-    """Reference census over an explicit rectangle of lattice points.
-
-    box is (xmin, xmax, ymin, ymax), bounds inclusive.  Iterates all
-    3-subsets of the points, so the rectangle is capped at
-    NAIVE_POINT_GUARD points.  This is the oracle the fast census is
-    checked against.
-    """
+def _box_points(box) -> list[tuple[int, int]]:
+    """Lattice points of box = (xmin, xmax, ymin, ymax), bounds inclusive;
+    GuardError for a malformed or empty box or one above
+    NAIVE_POINT_GUARD points, which the cubic oracles cannot finish."""
     try:
         xmin, xmax, ymin, ymax = (int(v) for v in box)
     except (TypeError, ValueError):
@@ -213,10 +209,19 @@ def enumerate_naive(box: tuple[int, int, int, int]) -> WeightedShapeSet:
         raise GuardError(f"empty box {box!r}")
     count = (xmax - xmin + 1) * (ymax - ymin + 1)
     if count > NAIVE_POINT_GUARD:
-        raise GuardError(
-            f"box has {count} points; enumerate_naive is capped at {NAIVE_POINT_GUARD}"
-        )
-    pts = [(x, y) for x in range(xmin, xmax + 1) for y in range(ymin, ymax + 1)]
+        raise GuardError(f"box has {count} points; the cap is {NAIVE_POINT_GUARD}")
+    return [(x, y) for x in range(xmin, xmax + 1) for y in range(ymin, ymax + 1)]
+
+
+def enumerate_naive(box: tuple[int, int, int, int]) -> WeightedShapeSet:
+    """Reference census over an explicit rectangle of lattice points.
+
+    box is (xmin, xmax, ymin, ymax), bounds inclusive.  Iterates all
+    3-subsets of the points, so the rectangle is capped at
+    NAIVE_POINT_GUARD points.  This is the oracle the fast census is
+    checked against.
+    """
+    pts = _box_points(box)
     counts: dict[tuple[int, int, int], int] = {}
     for (ax, ay), (bx, by), (cx, cy) in combinations(pts, 3):
         ubx = bx - ax
@@ -241,11 +246,7 @@ def distinct_classes(n: int) -> set[SimilarityKey]:
 def collinear_triple_count(box: tuple[int, int, int, int]) -> int:
     """Count collinear (degenerate) point triples in the box; used to
     cross-check census totals against C(points, 3)."""
-    xmin, xmax, ymin, ymax = (int(v) for v in box)
-    count = (xmax - xmin + 1) * (ymax - ymin + 1)
-    if count > NAIVE_POINT_GUARD:
-        raise GuardError(f"box has {count} points; cap is {NAIVE_POINT_GUARD}")
-    pts = [(x, y) for x in range(xmin, xmax + 1) for y in range(ymin, ymax + 1)]
+    pts = _box_points(box)
     total = 0
     for (ax, ay), (bx, by), (cx, cy) in combinations(pts, 3):
         if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0:

@@ -136,15 +136,12 @@ class SimilarityKey:
         return (self.p, self.q, self.r)
 
 
-KEY_WORD_BITS = 63  # value bits of the int64 word a packed key lives in
-
-
 def pack_key(p, q, r, shift: int):
     """Pack a key triple into one integer, (p << 2 shift) | (q << shift) | r.
 
     When every entry fits in shift bits the packing is injective and keeps
-    the lexicographic order of (p, q, r); with 3 shift <= KEY_WORD_BITS it
-    fits an int64.  Plain shifts, so it serves Python ints and numpy integer
+    the lexicographic order of (p, q, r); with 3 shift <= 63 it fits an
+    int64.  Plain shifts, so it serves Python ints and numpy integer
     arrays alike."""
     return (p << (2 * shift)) | (q << shift) | r
 

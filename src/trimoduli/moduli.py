@@ -25,8 +25,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import GuardError
-from .lattice import KEY_WORD_BITS, SimilarityKey, pack_key
+from .errors import GuardError, check_int_range
+from .lattice import SimilarityKey
 
 SUM_TOL = 1e-12
 
@@ -218,7 +218,7 @@ class WeightedShapeSet:
     canonical.  Weights are positive integers.
     """
 
-    __slots__ = ("_p", "_q", "_r", "_w", "_total", "_packed", "_shift")
+    __slots__ = ("_p", "_q", "_r", "_w", "_total")
 
     def __init__(self, entries):
         rows = []
@@ -272,10 +272,6 @@ class WeightedShapeSet:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_total", int(w.sum()))
-        object.__setattr__(self, "_packed", None)
-        # p <= q <= r in every row, so the largest r is the widest entry
-        shift = int(r.max()).bit_length() if len(r) else 1
-        object.__setattr__(self, "_shift", shift)
 
     @property
     def total_weight(self) -> int:
@@ -288,39 +284,26 @@ class WeightedShapeSet:
     def __len__(self) -> int:
         return len(self._w)
 
-    def _pack(self) -> np.ndarray:
-        if self._packed is None:
-            s = self._shift
-            if 3 * s <= KEY_WORD_BITS:
-                packed = pack_key(self._p, self._q, self._r, s)
-            else:  # keys too wide for one word; packed lookup disabled
-                packed = None
-            object.__setattr__(self, "_packed", packed)
-        return self._packed
-
     def _row_of(self, key) -> int:
-        trip = key.triple if isinstance(key, SimilarityKey) else tuple(key)
-        if len(self) == 0:
-            return -1
-        packed = self._pack()
-        if packed is not None:
-            s = self._shift
-            if any(v < 0 or v.bit_length() > s for v in trip):
-                return -1
-            target = pack_key(*trip, s)
-            i = int(np.searchsorted(packed, target))
-            if i < len(packed) and packed[i] == target:
-                return i
-            return -1
-        lo = int(np.searchsorted(self._p, trip[0], side="left"))
-        hi = int(np.searchsorted(self._p, trip[0], side="right"))
-        for i in range(lo, hi):
-            if self._q[i] == trip[1] and self._r[i] == trip[2]:
-                return i
-        return -1
+        """Row of key in the sorted columns, -1 when absent.  One
+        lexicographic search: narrow the rows by p, then q, then r."""
+        trip = key.triple if isinstance(key, SimilarityKey) else key
+        try:
+            p, q, r = [check_int_range(v, "key entry", -math.inf, math.inf) for v in trip]
+        except (TypeError, ValueError):
+            raise GuardError(f"key must be three integers, got {key!r}") from None
+        lo, hi = 0, len(self)
+        for col, v in ((self._p, p), (self._q, q), (self._r, r)):
+            seg = col[lo:hi]
+            lo, hi = (
+                lo + int(np.searchsorted(seg, v, side="left")),
+                lo + int(np.searchsorted(seg, v, side="right")),
+            )
+        return lo if lo < hi else -1
 
     def weight_of(self, key) -> int:
-        """Multiplicity of key; 0 when absent."""
+        """Multiplicity of key; 0 when absent.  GuardError when key is not
+        three integers."""
         i = self._row_of(key)
         return int(self._w[i]) if i >= 0 else 0
 

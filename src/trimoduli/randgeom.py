@@ -17,11 +17,12 @@ regardless of the worker count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuardError, check_int_range
+from .errors import check_int_range
 from .moduli import normalized_sides
 from .parallel import map_ordered, worker_count
 from .rng import BLOCK_SAMPLES, block_generator, block_sizes
@@ -137,11 +138,8 @@ def _distance_block(seed: int, index: int, size: int) -> tuple[float, float]:
 
 
 def _check_mc_args(samples, seed) -> tuple[int, int]:
-    samples = int(samples)
-    seed = int(seed)
-    if samples < MIN_SAMPLES:
-        raise GuardError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
-    return samples, seed
+    samples = check_int_range(samples, "samples", MIN_SAMPLES, sys.maxsize)
+    return samples, int(seed)
 
 
 def obtuse_probability(samples: int, seed: int) -> McEstimate:
@@ -198,11 +196,9 @@ def shape_histogram(
     samples: int, bins: int, seed: int, labeled: bool = True
 ) -> Histogram2D:
     """Histogram of sampled triangle shapes on the ab-plane."""
-    samples = int(samples)
+    samples = check_int_range(samples, "samples", 1, sys.maxsize)
     bins = check_int_range(bins, "bins", 2, MAX_BINS)
     seed = int(seed)
-    if samples < 1:
-        raise GuardError(f"samples must be >= 1, got {samples}")
     sizes = block_sizes(samples)
     args = [(seed, i, sz, bins, labeled) for i, sz in enumerate(sizes)]
     grid = np.zeros((bins, bins), dtype=np.int64)

@@ -100,6 +100,11 @@ class TestApproxCommand:
         for x, y in doc["vertices"]:
             assert isinstance(x, int) and isinstance(y, int)
 
+    def test_eps_floor_finishes(self, capsys):
+        assert main(["approx", "--a", "2", "--b", "3", "--c", "4", "--eps", "1e-6"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["distance"] < 1e-6
+
     def test_sides_normalized_any_order_any_scale(self, capsys):
         assert main(["approx", "--a", "50", "--b", "40", "--c", "30", "--eps", "1e-2"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimoduli as tm
+from test_acceptance import _target_grid
 from trimoduli.diophantine import EPS_FLOOR_1D, EPS_FLOOR_2D, EPS_FLOOR_SHAPE
 
 
@@ -133,6 +134,50 @@ class TestApproximateShape:
         s = tm.ShapeTriple(0.2, 0.9, 0.9)
         tri = tm.approximate_shape(s, 1e-3)
         assert s.distance_to(tm.shape_of(tm.similarity_key(tri))) < 1e-3
+
+    @pytest.mark.parametrize(
+        "target, eps, vertices",
+        [
+            (tm.ShapeTriple(0.5, 4.0 / 6.0, 5.0 / 6.0), 1e-3, [(0, 0), (25, 0), (16, 12)]),
+            (tm.shape_of(tm.SimilarityKey(1, 1, 2)), 1e-4, [(0, 0), (2, 0), (1, 1)]),
+        ],
+    )
+    def test_smallest_witness_pinned(self, target, eps, vertices):
+        tri = tm.approximate_shape(target, eps)
+        assert [(p.x, p.y) for p in tri.vertices] == vertices
+
+    def test_witness_is_smallest_base_on_the_ray(self):
+        # scalar re-derivation of the ray: no shorter base m' passes the
+        # same verification the witness passed
+        eps = 1e-3
+        for target in _target_grid():
+            tri = tm.approximate_shape(target, eps)
+            apex = tm.shape_to_vertex(target)
+            m = tri.b.x
+            assert (tri.a, tri.b.y) == (tm.LatticePoint(0, 0), 0)
+            assert (tri.c.x, tri.c.y) == (round(m * apex.x), round(m * apex.y))
+            for k in range(1, m):
+                cy = round(k * apex.y)
+                if cy == 0:
+                    continue
+                cand = tm.LatticeTriangle(
+                    tm.LatticePoint(0, 0),
+                    tm.LatticePoint(k, 0),
+                    tm.LatticePoint(round(k * apex.x), cy),
+                )
+                assert not tm.shape_of(tm.similarity_key(cand)).distance_to(target) < eps
+
+    def test_grid_finishes_at_the_eps_floor(self):
+        # the guard admits EPS_FLOOR_SHAPE, so every c09 target must finish there
+        for target in _target_grid():
+            tri = tm.approximate_shape(target, EPS_FLOOR_SHAPE)
+            assert target.distance_to(tm.shape_of(tm.similarity_key(tri))) < EPS_FLOOR_SHAPE
+
+    def test_too_thin_target_gives_up(self):
+        # apex height ~7e-13 rounds to 0 for every base below the cap
+        s = tm.ShapeTriple(1e-8, (2.0 - 1e-8) / 2.0, (2.0 - 1e-8) / 2.0)
+        with pytest.raises(tm.PrecisionError):
+            tm.approximate_shape(s, 1e-3)
 
     def test_guards(self):
         s = tm.ShapeTriple(2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)

@@ -81,6 +81,14 @@ class TestCollinearCount:
             (-n, n, -n, n)
         )
 
+    @pytest.mark.parametrize("box", [(1, 0, 0, 1), (0, 1, 0), (0, 30, 0, 30)])
+    def test_box_guard_shared_with_naive_census(self, box):
+        # empty, malformed and oversized boxes are rejected by both oracles
+        with pytest.raises(tm.GuardError):
+            tm.collinear_triple_count(box)
+        with pytest.raises(tm.GuardError):
+            tm.enumerate_naive(box)
+
 
 class TestWeightedCensus:
     def test_matches_naive_n1(self):

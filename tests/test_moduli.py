@@ -261,6 +261,16 @@ class TestWeightedShapeSet:
         assert s.weight_of((1, 1, 2)) == 1
         assert (1, 2, 5) not in s
 
+    def test_lookup_rejects_keys_that_are_not_three_integers(self):
+        s = tm.WeightedShapeSet({(1, 1, 2): 1})
+        for key in [(1.0, 1.0, 2.0), (1, 1), (1, 1, 2, 3), (True, 1, 2), None]:
+            with pytest.raises(tm.GuardError):
+                s.weight_of(key)
+            with pytest.raises(tm.GuardError):
+                key in s
+        assert s.weight_of((0, 0, 2**70)) == 0
+        assert (-1, 1, 2) not in s
+
 
 class TestDiracRatio:
     def test_naive_cross_check(self):

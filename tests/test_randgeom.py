@@ -8,6 +8,22 @@ import pytest
 import trimoduli as tm
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda n: tm.obtuse_probability(n, 0),
+        lambda n: tm.mean_pair_distance(n, 0),
+        lambda n: tm.shape_histogram(n, 4, 0),
+    ],
+    ids=["obtuse", "distance", "histogram"],
+)
+@pytest.mark.parametrize("samples", [1000.9, 2000.0])
+def test_non_integer_samples_rejected(estimate, samples):
+    # int() would truncate 1000.9 to 1000 and run
+    with pytest.raises(tm.GuardError):
+        estimate(samples)
+
+
 class TestReferenceValues:
     def test_langford_constant(self):
         assert tm.langford_obtuse_probability() == 97.0 / 150.0 + math.pi / 40.0
