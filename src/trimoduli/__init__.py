@@ -1,10 +1,10 @@
 """trimoduli: similarity classes of lattice triangles.
 
 Exact census of triangle shapes realized on integer grids, closed-form
-measures on the space of triangle shapes, pigeonhole Dirichlet
-approximation, lattice approximants of arbitrary shapes (the smallest base
-along the ray of the unit-base placement), and the Monte Carlo baselines
-the census is compared against.
+measures on the space of triangle shapes, Dirichlet approximation by the
+smallest exactly verified multiplier, lattice approximants of arbitrary
+shapes (the smallest base along the ray of the unit-base placement), and
+the Monte Carlo baselines the census is compared against.
 """
 
 from .errors import GuardError, PrecisionError

@@ -1,35 +1,39 @@
 """Dirichlet approximation and lattice approximants of shapes.
 
-The 1-D and 2-D approximators run the textbook pigeonhole scan: drop the
-fractional parts of k*x (or (k*x, k*y)) into equal boxes until two land in
-the same box, then subtract.  The scan is deterministic and termination is
-guaranteed by counting, but the scan length grows like the box count for
-badly approximable inputs, so the eps guards below bound the work as well
-as the floating-point error.
+Each search returns the smallest multiplier whose witness passes
+verification.  The 1-D approximator walks the continued-fraction
+convergents of x, which by Legendre's best-approximation property contain
+the smallest m with |m x - n| < eps.  The 2-D approximator scans
+m = 1, 2, ... in order; pigeonhole on the fractional-part square only
+supplies the bound m <= (floor(1/eps) + 1)^2 that sets EPS_FLOOR_2D.
 
-Shape approximants come from a direct scan instead: place the target on
+Shape approximants come from the same kind of scan: place the target on
 the unit base, scale by m = 1, 2, ... and round the apex to the nearest
 lattice point.  The first m whose triangle lands within eps is returned,
 so the witness is the smallest base along that ray.
 
-Every witness is re-verified against the requested bound after the scan;
-a failed verification raises PrecisionError rather than returning a wrong
-answer, which is what makes double precision acceptable here.
+Dirichlet witnesses are verified both exactly, on the dyadic rational
+Fraction(x), and in float; shape witnesses on their exact similarity key.
+A search that ends without a verified witness raises PrecisionError
+rather than returning a wrong answer.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import GuardError, PrecisionError
+from .errors import GuardError, PrecisionError, check_int_range
 from .lattice import LatticePoint, LatticeTriangle, similarity_key
 from .moduli import ShapeTriple, normalized_sides, shape_of
 
 EPS_FLOOR_1D = 1e-12
-EPS_FLOOR_2D = 1e-9
+# (floor(1/eps) + 1)^2 ~ 1e10 candidates at most, a few minutes of scan
+EPS_FLOOR_2D = 1e-5
 EPS_FLOOR_SHAPE = 1e-6
 # Largest base approximate_shape tries: squared sides stay below 2 m^2 <=
 # 2^49, so they and the rounded apex are exact in float64.
@@ -67,130 +71,69 @@ class PlaneVertex:
             raise ValueError(f"apex must lie strictly above the base, got y={self.y}")
 
 
-def dirichlet_1d(x: float, eps: float) -> tuple[int, int]:
-    """Find integers (m, n), m >= 1, with |m*x - n| < eps by pigeonhole.
+def _witness(m: int, x: float, eps: float) -> tuple[int, Fraction] | None:
+    """(n, |m X - n|) with n = round(m X) for the dyadic rational
+    X = Fraction(x), when both the exact residual and the float residual
+    |m*x - n| are below eps; None otherwise."""
+    mx = m * Fraction(x)
+    n = round(mx)
+    err = abs(mx - n)
+    if err < eps and abs(m * x - n) < eps:
+        return n, err
+    return None
 
-    Scans k = 0, 1, ... dropping {k x} into ceil(1/eps) equal boxes; the
-    first box collision (i, j) gives m = j - i, n = floor(j x) - floor(i x).
-    Any valid witness is acceptable; this returns the first one found.
-    """
+
+def dirichlet_1d(x: float, eps: float) -> tuple[int, int]:
+    """Smallest m >= 1, with n = round(m x), such that |m x - n| < eps both
+    exactly and in float.
+
+    Walks the continued-fraction convergents of x in order, O(log 1/eps)
+    steps, and returns the first denominator that passes both checks.  By
+    the best-approximation property of convergents (Legendre), every m
+    below the first denominator with an exact residual under eps misses
+    eps, so that denominator is the smallest m; only when its float
+    residual misses eps by rounding does the walk go on to a later one.
+    The last convergent is x itself with a zero residual, so the walk
+    always ends."""
     x = float(x)
     eps = float(eps)
     if not math.isfinite(x):
         raise GuardError(f"x must be finite, got {x!r}")
     if not (eps >= EPS_FLOOR_1D):
         raise GuardError(f"eps must be >= {EPS_FLOOR_1D}, got {eps}")
-    boxes = math.ceil(1.0 / eps)
-    floor = math.floor
-    seen: dict[int, int] = {}
-    # boxes + 1 draws force a collision, but a witness straddling a box
-    # boundary can miss eps by an ulp; keep scanning past such near
-    # misses, the very next wrap of the orbit produces a clean pair
-    for k in range(8 * boxes + 9):
-        kx = k * x
-        frac = kx - floor(kx)
-        b = int(frac * boxes)
-        if b >= boxes:  # frac rounded up to 1.0
-            b = boxes - 1
-        if b in seen:
-            i = seen[b]
-            m = k - i
-            n = floor(kx) - floor(i * x)
-            if abs(m * x - n) < eps:
-                return (m, n)
-        else:
-            seen[b] = k
-    raise PrecisionError(
-        f"pigeonhole scan found no verified witness for x={x!r}, eps={eps}"
-    )
+    # q runs over the convergent denominators q_0 = 1, q_1, ... of X
+    X = Fraction(x)
+    q_prev, q, rest = 0, 1, X - math.floor(X)
+    while not (found := _witness(q, x, eps)):
+        z = 1 / rest
+        a = math.floor(z)
+        rest = z - a
+        q_prev, q = q, a * q + q_prev
+    return q, found[0]
 
 
 _SCAN_BLOCK = 1 << 16
-_BITMAP_MAX_BITS = 1 << 30  # 128 MB occupancy bitmap ceiling
 
 
-def _boxes_2d(lo: int, hi: int, x: float, y: float, boxes: int) -> np.ndarray:
-    """Flattened box index of ({k x}, {k y}) for k in [lo, hi).  Bit-for-bit
-    the same arithmetic as the scalar scan: one double multiply, floor,
-    scale, truncate."""
-    k = np.arange(lo, hi, dtype=np.float64)
-    kx = k * x
-    ky = k * y
-    bx = ((kx - np.floor(kx)) * boxes).astype(np.int64)
-    by = ((ky - np.floor(ky)) * boxes).astype(np.int64)
-    np.minimum(bx, boxes - 1, out=bx)  # frac can round up to 1.0
-    np.minimum(by, boxes - 1, out=by)
-    return bx * boxes + by
-
-
-def _first_of_box(x: float, y: float, boxes: int, box: int, limit: int) -> int:
-    """First k <= limit whose fractional-part pair lands in `box`."""
-    for lo in range(0, limit + 1, _SCAN_BLOCK):
-        bb = _boxes_2d(lo, min(lo + _SCAN_BLOCK, limit + 1), x, y, boxes)
-        hits = np.flatnonzero(bb == box)
-        if len(hits):
-            return lo + int(hits[0])
-    raise PrecisionError("lost the first occupant during the rescan")
-
-
-def _collision_2d_vector(x: float, y: float, boxes: int) -> tuple[int, int]:
-    """First pigeonhole collision (i, j), i < j, scanning k = 0 .. boxes^2
-    in vectorized blocks over a bitmap of occupied boxes.  Returns exactly
-    the pair the sequential dict scan would find."""
-    total = boxes * boxes
-    words = np.zeros((total + 63) // 64, dtype=np.uint64)
-    for lo in range(0, total + 1, _SCAN_BLOCK):
-        bb = _boxes_2d(lo, min(lo + _SCAN_BLOCK, total + 1), x, y, boxes)
-        word = (bb >> 6).astype(np.int64)
-        bit = np.uint64(1) << (bb & 63).astype(np.uint64)
-        j = None
-        occupied = np.flatnonzero((words[word] & bit) != 0)
-        if len(occupied):
-            j = int(occupied[0])
-        order = np.argsort(bb, kind="stable")
-        sb = bb[order]
-        dup = np.flatnonzero(sb[1:] == sb[:-1])
-        if len(dup):
-            j_in = int(order[1:][dup].min())
-            j = j_in if j is None else min(j, j_in)
-        if j is not None:
-            j_abs = lo + j
-            return _first_of_box(x, y, boxes, int(bb[j]), j_abs - 1), j_abs
-        np.bitwise_or.at(words, word, bit)
-    raise PrecisionError("pigeonhole scan exhausted without a collision")
-
-
-def _collision_2d_dict(x: float, y: float, boxes: int) -> tuple[int, int]:
-    """Sequential scan fallback for box grids too large for the bitmap."""
-    floor = math.floor
-    seen: dict[int, int] = {}
-    for k in range(boxes * boxes + 1):
-        kx = k * x
-        ky = k * y
-        bx = int((kx - floor(kx)) * boxes)
-        if bx >= boxes:
-            bx = boxes - 1
-        by = int((ky - floor(ky)) * boxes)
-        if by >= boxes:
-            by = boxes - 1
-        b = bx * boxes + by
-        if b in seen:
-            return seen[b], k
-        seen[b] = k
-    raise PrecisionError("pigeonhole scan exhausted without a collision")
+def _windows(stop: int):
+    """m = 1, 2, ..., stop - 1 as float64 arrays, in order, in windows that
+    double from 64 up to _SCAN_BLOCK."""
+    lo, width = 1, 64
+    while lo < stop:
+        hi = min(lo + width, stop)
+        yield np.arange(lo, hi, dtype=np.float64)
+        lo, width = hi, min(2 * width, _SCAN_BLOCK)
 
 
 def dirichlet_2d(x: float, y: float, eps: float) -> DirichletApproximant:
-    """Simultaneous approximation: m >= 1 and integers nx, ny with
-    max(|m x - nx|, |m y - ny|) < eps.
+    """Simultaneous approximation: the smallest m >= 1, with nx, ny the
+    nearest integers to m x, m y, such that max(|m x - nx|, |m y - ny|) < eps
+    both exactly and in float.
 
-    Pigeonhole over a B x B grid of boxes on the fractional-part square,
-    B = floor(1/eps) + 1, scanning k = 0 .. B^2 and stopping at the first
-    box collision (i, j); the witness is m = j - i.  For generic irrational
-    pairs the collision arrives after roughly eps^-2 steps, so the scan is
-    vectorized while the witness stays identical to the sequential one.
-    The witness is verified after the scan; drift raises PrecisionError.
-    """
+    Scans m = 1, 2, ... in vectorized windows on the fractional parts of x
+    and y, filters on the float residuals and verifies the survivors in
+    order of m.  Pigeonhole on B x B boxes, B = floor(1/eps) + 1, gives an
+    exact witness with m <= B^2; finding none there raises PrecisionError."""
     x = float(x)
     y = float(y)
     eps = float(eps)
@@ -198,27 +141,26 @@ def dirichlet_2d(x: float, y: float, eps: float) -> DirichletApproximant:
         raise GuardError(f"inputs must be finite, got ({x!r}, {y!r})")
     if not (eps >= EPS_FLOOR_2D):
         raise GuardError(f"eps must be >= {EPS_FLOOR_2D}, got {eps}")
-    floor = math.floor
-    # a collision pair straddling box boundaries can miss eps by an ulp;
-    # the scan-first-hit structure cannot skip it, so rerun on a finer
-    # grid instead (halving the box width conclusively clears the bound)
-    base = int(1.0 / eps) + 1
-    for attempt in range(3):
-        boxes = base << attempt
-        if boxes * boxes <= _BITMAP_MAX_BITS:
-            i, k = _collision_2d_vector(x, y, boxes)
-        else:
-            i, k = _collision_2d_dict(x, y, boxes)
-        m = k - i
-        nx = floor(k * x) - floor(i * x)
-        ny = floor(k * y) - floor(i * y)
-        ex = abs(m * x - nx)
-        ey = abs(m * y - ny)
-        if ex < eps and ey < eps:
-            return DirichletApproximant(m=m, nx=nx, ny=ny, err_x=ex, err_y=ey)
+    fx = math.fmod(x, 1.0)  # exact, and |fx| < 1
+    fy = math.fmod(y, 1.0)
+    stop = (int(1.0 / eps) + 1) ** 2 + 1
+    for m in _windows(stop):
+        # m * f is off by at most m * 2^-53, so this tolerance never drops
+        # a row whose exact residual is below eps
+        tol = eps + m[-1] * 2.0**-52
+        mx = m * fx
+        my = m * fy
+        near = (np.abs(mx - np.rint(mx)) < tol) & (np.abs(my - np.rint(my)) < tol)
+        for k in m[near]:
+            k = int(k)
+            wx = _witness(k, x, eps)
+            wy = _witness(k, y, eps)
+            if wx and wy:
+                return DirichletApproximant(
+                    m=k, nx=wx[0], ny=wy[0], err_x=float(wx[1]), err_y=float(wy[1])
+                )
     raise PrecisionError(
-        f"pigeonhole witness m={m} misses the bound: "
-        f"errors ({ex}, {ey}) vs eps={eps}"
+        f"no verified witness with m <= {stop - 1} for ({x!r}, {y!r}), eps={eps}"
     )
 
 
@@ -244,7 +186,7 @@ def approximate_shape(target: ShapeTriple, eps: float) -> LatticeTriangle:
 
     Scans the ray of the unit-base placement: with (x, y) the apex from
     shape_to_vertex, the candidates are (0,0), (m,0), (rint(m x), rint(m y))
-    for m = 1, 2, ..., in windows that double up to _SCAN_BLOCK.  Rows with
+    for m = 1, 2, ... from _windows.  Rows with
     a zero apex height are degenerate and skipped; the rest are filtered by
     their float distance and checked in order of m against the exact key's
     shape.  Returns the first candidate that passes, i.e. the smallest base
@@ -259,11 +201,7 @@ def approximate_shape(target: ShapeTriple, eps: float) -> LatticeTriangle:
     # distance in the last bits; the slack keeps it from dropping a row
     # the verification would accept, so the first verified m is minimal
     loose = eps * (1.0 + 1e-9)
-    lo, width = 1, 64
-    while lo < _MAX_BASE:
-        m = np.arange(lo, min(lo + width, _MAX_BASE), dtype=np.float64)
-        lo += width
-        width = min(2 * width, _SCAN_BLOCK)
+    for m in _windows(_MAX_BASE):
         cx = np.rint(m * apex.x)
         cy = np.rint(m * apex.y)
         keep = cy != 0.0
@@ -304,9 +242,7 @@ def weyl_sequence(x: float, count: int) -> np.ndarray:
     x = float(x)
     if not math.isfinite(x):
         raise GuardError(f"x must be finite, got {x!r}")
-    count = int(count)
-    if count < 1:
-        raise GuardError(f"count must be >= 1, got {count}")
+    count = check_int_range(count, "count", 1, sys.maxsize)
     k = np.arange(1, count + 1, dtype=np.float64)
     return np.mod(k * x, 1.0)
 

@@ -21,6 +21,7 @@ Components of the pairs live in [-2n, 2n]^2, so squared sides are at most
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -202,7 +203,9 @@ def _box_points(box) -> list[tuple[int, int]]:
     GuardError for a malformed or empty box or one above
     NAIVE_POINT_GUARD points, which the cubic oracles cannot finish."""
     try:
-        xmin, xmax, ymin, ymax = (int(v) for v in box)
+        xmin, xmax, ymin, ymax = (
+            check_int_range(v, "box bound", -sys.maxsize - 1, sys.maxsize) for v in box
+        )
     except (TypeError, ValueError):
         raise GuardError(f"box must be four integers (xmin, xmax, ymin, ymax), got {box!r}")
     if xmin > xmax or ymin > ymax:

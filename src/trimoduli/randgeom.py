@@ -137,9 +137,14 @@ def _distance_block(seed: int, index: int, size: int) -> tuple[float, float]:
     return (float(d.sum()), float(np.square(d).sum()))
 
 
+def _check_seed(seed) -> int:
+    """Any signed or unsigned 64-bit integer; stream_key keeps its low 64 bits."""
+    return check_int_range(seed, "seed", -(1 << 63), (1 << 64) - 1)
+
+
 def _check_mc_args(samples, seed) -> tuple[int, int]:
     samples = check_int_range(samples, "samples", MIN_SAMPLES, sys.maxsize)
-    return samples, int(seed)
+    return samples, _check_seed(seed)
 
 
 def obtuse_probability(samples: int, seed: int) -> McEstimate:
@@ -198,7 +203,7 @@ def shape_histogram(
     """Histogram of sampled triangle shapes on the ab-plane."""
     samples = check_int_range(samples, "samples", 1, sys.maxsize)
     bins = check_int_range(bins, "bins", 2, MAX_BINS)
-    seed = int(seed)
+    seed = _check_seed(seed)
     sizes = block_sizes(samples)
     args = [(seed, i, sz, bins, labeled) for i, sz in enumerate(sizes)]
     grid = np.zeros((bins, bins), dtype=np.int64)

@@ -1,6 +1,7 @@
-"""Pigeonhole approximants, shape realization, Weyl discrepancy."""
+"""Dirichlet approximants, shape realization, Weyl discrepancy."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,13 @@ from hypothesis import strategies as st
 import trimoduli as tm
 from test_acceptance import _target_grid
 from trimoduli.diophantine import EPS_FLOOR_1D, EPS_FLOOR_2D, EPS_FLOOR_SHAPE
+
+
+def _passes(m, x, eps):
+    """The verification a Dirichlet witness promises: n = round(m x) with
+    the exact residual of Fraction(x) and the float residual both < eps."""
+    n = round(m * Fraction(x))
+    return abs(m * Fraction(x) - n) < eps and abs(m * x - n) < eps
 
 
 class TestDirichlet1D:
@@ -37,6 +45,21 @@ class TestDirichlet1D:
         assert m >= 1
         assert abs(m * x - n) < eps
 
+    @pytest.mark.parametrize("x", [math.sqrt(2.0), math.sqrt(3.0), math.pi, 1.0 / 7.0, 0.01, -2.73])
+    @pytest.mark.parametrize("eps", [0.2, 0.05, 0.01, 1e-3])
+    def test_witness_is_smallest(self, x, eps):
+        m, n = tm.dirichlet_1d(x, eps)
+        assert _passes(m, x, eps) and n == round(m * Fraction(x))
+        assert not any(_passes(k, x, eps) for k in range(1, m))
+
+    def test_pi_below_float_resolution(self):
+        # the float residual of this witness reads 0.0; the exact one is 3.5e-9
+        assert tm.dirichlet_1d(math.pi, 1e-8) == (78256779, 245850922)
+
+    def test_eps_floor_is_verified_exactly(self):
+        m, n = tm.dirichlet_1d(math.pi, EPS_FLOOR_1D)
+        assert abs(m * Fraction(math.pi) - n) < EPS_FLOOR_1D
+
     def test_guards(self):
         with pytest.raises(tm.GuardError):
             tm.dirichlet_1d(float("nan"), 0.1)
@@ -51,8 +74,7 @@ class TestDirichlet2D:
         assert a.err_x == 0.0 and a.err_y == 0.0
 
     def test_equal_coordinates_share_error(self):
-        # x == y forces identical residuals; this size also exercises the
-        # dictionary fallback above the bitmap budget
+        # x == y forces identical residuals; 1e-5 is EPS_FLOOR_2D
         a = tm.dirichlet_2d(math.sqrt(3.0), math.sqrt(3.0), 1e-5)
         assert a.err_x == a.err_y < 1e-5
         assert a.m == 40545
@@ -62,6 +84,28 @@ class TestDirichlet2D:
         a = tm.dirichlet_2d(x, y, 1e-3)
         assert abs(a.m * x - a.nx) < 1e-3
         assert abs(a.m * y - a.ny) < 1e-3
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (math.sqrt(2.0), math.sqrt(3.0)),
+            (math.sqrt(2.0), math.e),
+            (math.pi, -2.73),
+            (0.01, 1.0 / 7.0),
+        ],
+    )
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_witness_is_smallest(self, x, y, eps):
+        a = tm.dirichlet_2d(x, y, eps)
+        assert _passes(a.m, x, eps) and _passes(a.m, y, eps)
+        assert (a.nx, a.ny) == (round(a.m * Fraction(x)), round(a.m * Fraction(y)))
+        # a float screen far looser than its rounding error, then the exact
+        # verification, over every shorter multiplier
+        k = np.arange(1, a.m, dtype=np.float64)
+        rx = np.abs(np.remainder(k * x + 0.5, 1.0) - 0.5)
+        ry = np.abs(np.remainder(k * y + 0.5, 1.0) - 0.5)
+        for j in np.flatnonzero((rx < eps + 1e-6) & (ry < eps + 1e-6)) + 1:
+            assert not (_passes(int(j), x, eps) and _passes(int(j), y, eps))
 
     def test_guards(self):
         with pytest.raises(tm.GuardError):
@@ -187,9 +231,10 @@ class TestApproximateShape:
 
 class TestEquilateralApproximant:
     def test_coarse_witness(self):
+        # m = 1 already has |sqrt(3) - 2| = 0.268 < 0.5
         tri = tm.equilateral_approximant(0.5)
-        assert [(p.x, p.y) for p in tri.vertices] == [(0, 0), (4, 0), (2, 3)]
-        assert tm.similarity_key(tri).triple == (13, 13, 16)
+        assert [(p.x, p.y) for p in tri.vertices] == [(0, 0), (2, 0), (1, 2)]
+        assert tm.similarity_key(tri).triple == (4, 5, 5)
 
     def test_distance_shrinks_with_eps(self):
         equi = tm.ShapeTriple(2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)
@@ -244,3 +289,5 @@ class TestWeyl:
             tm.star_discrepancy(np.array([1.5]))
         with pytest.raises(tm.GuardError):
             tm.weyl_sequence(math.sqrt(2.0), 0)
+        with pytest.raises(tm.GuardError):
+            tm.weyl_sequence(math.sqrt(2.0), 3.9)

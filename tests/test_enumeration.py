@@ -81,9 +81,10 @@ class TestCollinearCount:
             (-n, n, -n, n)
         )
 
-    @pytest.mark.parametrize("box", [(1, 0, 0, 1), (0, 1, 0), (0, 30, 0, 30)])
+    @pytest.mark.parametrize("box", [(1, 0, 0, 1), (0, 1, 0), (0, 30, 0, 30), (0.9, 1.9, 0, 1)])
     def test_box_guard_shared_with_naive_census(self, box):
-        # empty, malformed and oversized boxes are rejected by both oracles
+        # empty, malformed, oversized and non-integer boxes are rejected by
+        # both oracles; int() would truncate the last to (0, 1, 0, 1)
         with pytest.raises(tm.GuardError):
             tm.collinear_triple_count(box)
         with pytest.raises(tm.GuardError):

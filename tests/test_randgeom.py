@@ -24,6 +24,22 @@ def test_non_integer_samples_rejected(estimate, samples):
         estimate(samples)
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda seed: tm.obtuse_probability(1000, seed),
+        lambda seed: tm.mean_pair_distance(1000, seed),
+        lambda seed: tm.shape_histogram(1000, 4, seed),
+    ],
+    ids=["obtuse", "distance", "histogram"],
+)
+@pytest.mark.parametrize("seed", [1.7, 1.0, -(1 << 63) - 1, 1 << 64])
+def test_seed_outside_64_bit_integers_rejected(estimate, seed):
+    # int() would truncate 1.7 to seed 1
+    with pytest.raises(tm.GuardError):
+        estimate(seed)
+
+
 class TestReferenceValues:
     def test_langford_constant(self):
         assert tm.langford_obtuse_probability() == 97.0 / 150.0 + math.pi / 40.0
