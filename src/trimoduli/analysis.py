@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import enumerate_weighted
+from .enumeration import MAX_N, enumerate_weighted
 from .errors import GuardError, check_int_range
 from .moduli import ModuliRegion, WeightedShapeSet, normalized_sides, uniform_target
 from .randgeom import MAX_BINS, langford_obtuse_probability
 
-MAX_ANALYSIS_N = 64
+MAX_ANALYSIS_N = MAX_N  # one ceiling for the census and its analyses
 
 _FRACTION_TOL = 1e-12
 

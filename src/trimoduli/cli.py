@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage errors (argparse), 3 violated guards or
 invalid values, 4 failed numeric post-conditions, 1 I/O failures or a
 worker process that died (for example, killed for running out of memory).
 All outputs are deterministic for identical flags; TRIMODULI_THREADS only caps
-workers and never changes bytes.
+the Monte Carlo sampler workers (the census runs in one process) and never
+changes bytes.
 """
 
 from __future__ import annotations

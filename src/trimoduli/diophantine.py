@@ -21,7 +21,6 @@ rather than returning a wrong answer.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +37,8 @@ EPS_FLOOR_SHAPE = 1e-6
 # Largest base approximate_shape tries: squared sides stay below 2 m^2 <=
 # 2^49, so they and the rounded apex are exact in float64.
 _MAX_BASE = 1 << 24
+# Most points weyl_sequence returns: 2^27 float64 values are 1 GiB
+MAX_WEYL_COUNT = 1 << 27
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,9 +243,10 @@ def weyl_sequence(x: float, count: int) -> np.ndarray:
     x = float(x)
     if not math.isfinite(x):
         raise GuardError(f"x must be finite, got {x!r}")
-    count = check_int_range(count, "count", 1, sys.maxsize)
+    count = check_int_range(count, "count", 1, MAX_WEYL_COUNT)
     k = np.arange(1, count + 1, dtype=np.float64)
-    return np.mod(k * x, 1.0)
+    k *= x
+    return np.mod(k, 1.0, out=k)
 
 
 def star_discrepancy(seq) -> float:

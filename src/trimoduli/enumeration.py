@@ -1,26 +1,35 @@
 """Census of lattice triangles in [-n, n]^2 by similarity class.
 
-The weighted census is translation-reduced.  A triangle with vertices
-A, B, C anchored at A is the ordered pair of edge vectors (u, v) =
-(B - A, C - A); the number of integer translates of its bounding box that
-fit inside the (2n+1) x (2n+1) grid is
+Up to translation every triangle has one bounding box [0, w] x [0, h],
+1 <= w, h <= 2n, with (N - w)(N - h) translates in the grid, N = 2n + 1.
+So the census is a sum of per-box key tables, which do not depend on n,
+each times its translate count.
 
-    (2n + 1 - w) (2n + 1 - h),   w = max(0, ux, vx) - min(0, ux, vx),
+A triangle with exact box w x h has a vertex on every side of the box,
+so at least one vertex is a corner.  Only boxes with w <= h are scanned.
+Their rows are split by which corners are vertices, and each row stands
+for its orbit under the box flips, times t = 2 for the w <-> h transpose
+when w < h (t = 1 when w = h):
 
-and likewise h, provided w, h <= 2n.  Summing that multiplicity over all
-ordered pairs with nonzero cross product counts every (triangle, position)
-combination exactly six times: each unordered triangle is anchored at any
-of its 3 vertices with 2 orderings of the remaining two, and the six
-resulting pairs are pairwise distinct because u, v, u - v are nonzero and
-u != v.  The accumulated totals are therefore divided by 6 at the end, and
-the division is checked to be exact; a remainder fails the run loudly.
+    one corner        (0,0), (w,y), (x,h), 0 < x < w, 0 < y < h    4t
+    bottom corners    (0,0), (w,0), (x,h), 0 < x < w               2t
+    left corners      (0,0), (0,h), (w,y), 0 < y < h               2t
+    diagonal corners  (0,0), (w,h), a box point off the corners
+                      and off the diagonal (x h != y w)             2t
+    three corners     (0,0), (w,0), (0,h)                          4t
 
-Components of the pairs live in [-2n, 2n]^2, so squared sides are at most
-8 n^2 and the per-pair arithmetic fits comfortably in int64.
+So the orbit weights of a box sum to the number of triangles whose exact
+box is w x h, T(w, h) = 4(w-1)(h-1) + 2(w-1) + 2(h-1) + 4
++ 2((w+1)(h+1) - 3 - gcd(w, h)).  The rows of one box height h are
+reduced to sorted packed keys, and the h-tables are merged.  As a
+post-condition the total weight must equal C(N^2, 3) minus the collinear
+triples of the grid, or the run fails loudly.  Squared sides are at most
+w^2 + h^2 <= 8 n^2, so keys pack into one int64 word.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,16 +39,11 @@ import numpy as np
 from .errors import GuardError, check_int_range
 from .lattice import SimilarityKey, pack_key, reduced_triple, unpack_key
 from .moduli import WeightedShapeSet
-from .parallel import map_ordered, worker_count
 
-# Keys pack into one int64 word as three fields of (8 n^2).bit_length()
-# bits: 8 * 511^2 has 21 bits and 3 * 21 = 63, while 8 * 512^2 = 2^21
-# needs 22.  So 511 is the largest n whose keys pack.
-MAX_N = 511
+# The key count grows like n^4: 1.9 M at n = 31, 33.9 M at n = 64 (a
+# 2.2 GB peak) and about 200 M at n = 100, beyond a machine with 8 GB.
+MAX_N = 64
 NAIVE_POINT_GUARD = 400  # enumerate_naive is cubic in the point count
-
-_ROW_TARGET = 1 << 20  # ordered pairs per vectorized batch
-_COMPACT_AT = 1 << 23  # merge partial results once this many rows pile up
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,102 +104,89 @@ def translation_multiplicity(box: BoundingBox, n: int) -> int:
     return (span + 1 - box.w) * (span + 1 - box.h)
 
 
-def _batch_totals(n: int, lo: int, hi: int):
-    """Accumulate translate multiplicities over ordered pairs whose u-index
-    lies in [lo, hi).  Returns (packed keys, int64 totals) with packed keys
-    sorted ascending; pack_key preserves the lexicographic order of the
-    reduced triples."""
-    span = 2 * n
-    side = 2 * span + 1
+def _box_rows(h: int):
+    """Rows of every box w x h with 1 <= w <= h, independent of n: the
+    triangle (0,0), (w, ay), (bx, by) as (w, ay, bx, by), with its orbit
+    weight including the transpose factor."""
+    w = np.arange(1, h + 1, dtype=np.int64)[:, None, None]
+    x = np.arange(h + 1, dtype=np.int64)[None, :, None]
+    y = np.arange(h + 1, dtype=np.int64)[None, None, :]
+    # (0,0), (w,y), (x,h) with 0 <= x < w, 0 <= y < h: one corner, the
+    # bottom corners (y = 0), the left corners (x = 0) or three corners
+    fw, fx, fy = np.nonzero((x < w) & (y < h))
+    # (0,0), (w,h), (x,y) off the corners and off the diagonal
+    corner = ((x == 0) | (x == w)) & ((y == 0) | (y == h))
+    dw, dx, dy = np.nonzero((x <= w) & ~corner & (x * h != y * w))
 
-    c = np.arange(-span, span + 1, dtype=np.int64)
-    vx = np.repeat(c, side)
-    vy = np.tile(c, side)
-    idx = np.arange(lo, hi, dtype=np.int64)
-    ux = (idx // side - span)[:, None]
-    uy = (idx % side - span)[:, None]
+    width = np.concatenate((fw, dw)) + 1
+    flips = np.concatenate((np.where((fx == 0) == (fy == 0), 4, 2), np.full(len(dw), 2)))
+    orbit = flips * np.where(width < h, 2, 1)
+    ay = np.concatenate((fy, np.full(len(dw), h)))
+    bx = np.concatenate((fx, dx))
+    by = np.concatenate((np.full(len(fw), h), dy))
+    return width, ay, bx, by, orbit
 
-    valid = (ux * vy - uy * vx) != 0
-    wspan = np.maximum(np.maximum(ux, vx), 0) - np.minimum(np.minimum(ux, vx), 0)
-    valid &= wspan <= span
-    hspan = np.maximum(np.maximum(uy, vy), 0) - np.minimum(np.minimum(uy, vy), 0)
-    valid &= hspan <= span
 
-    mult = ((span + 1 - wspan) * (span + 1 - hspan))[valid]
-    del wspan, hspan
-    UX = np.broadcast_to(ux, valid.shape)[valid]
-    UY = np.broadcast_to(uy, valid.shape)[valid]
-    VX = np.broadcast_to(vx, valid.shape)[valid]
-    VY = np.broadcast_to(vy, valid.shape)[valid]
-    del valid
+def _merge(tables):
+    """Sorted distinct keys and their summed int64 weights, from (keys,
+    weights) tables in any order.  Each input array is released once it
+    is copied, which keeps the peak at four arrays of the total length."""
+    keys, weights = zip(*tables)
+    keys = np.concatenate(keys)
+    weights = np.concatenate(weights)
+    order = np.argsort(keys)
+    keys = keys[order]
+    weights = weights[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(weights, starts)
 
-    p0 = UX * UX + UY * UY
-    q0 = VX * VX + VY * VY
-    dx = VX - UX
-    dy = VY - UY
-    r0 = dx * dx + dy * dy
+
+def _box_table(n: int, h: int):
+    """Packed keys and census weights of the boxes of height h in [-n, n]^2."""
+    width, ay, bx, by, orbit = _box_rows(h)
+    side = 2 * n + 1
+    p0 = width * width + ay * ay
+    q0 = bx * bx + by * by
+    r0 = (bx - width) ** 2 + (by - ay) ** 2
     lo3 = np.minimum(np.minimum(p0, q0), r0)
     hi3 = np.maximum(np.maximum(p0, q0), r0)
     mid = p0 + q0 + r0 - lo3 - hi3
     g = np.gcd(np.gcd(lo3, mid), hi3)
-    lo3 //= g
-    mid //= g
-    hi3 //= g
-
-    packed = pack_key(lo3, mid, hi3, _pack_shift(n))
-    keys, inverse = np.unique(packed, return_inverse=True)
-    totals = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(totals, inverse, mult)  # exact int64 accumulation
-    return keys, totals
+    packed = pack_key(lo3 // g, mid // g, hi3 // g, _pack_shift(n))
+    return _merge([(packed, orbit * ((side - width) * (side - h)))])
 
 
 def _pack_shift(n: int) -> int:
-    # key entries are squared sides of the pairs, at most 8 n^2
+    # key entries are squared sides, at most 8 n^2
     return (8 * n * n).bit_length()
 
 
-def _merge_parts(parts):
-    keys = np.concatenate([k for k, _ in parts])
-    weights = np.concatenate([w for _, w in parts])
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    totals = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(totals, inverse, weights)
-    return uniq, totals
-
-
-def _ordered_pair_totals(n: int):
-    """Raw per-key multiplicity sums over all ordered pairs, before the
-    division by 6.  Returns (p, q, r, totals) columns sorted by (p, q, r)."""
-    n = check_int_range(n, "n", 1, MAX_N)
-    side = 4 * n + 1
-    u_total = side * side
-    batch = max(1, _ROW_TARGET // u_total)
-    ranges = [(n, b, min(b + batch, u_total)) for b in range(0, u_total, batch)]
-
-    workers = worker_count()
-    parts: list = []
-    rows = 0
-    for part in map_ordered(_batch_totals, ranges, workers):
-        parts.append(part)
-        rows += len(part[0])
-        if rows > _COMPACT_AT:
-            parts = [_merge_parts(parts)]
-            rows = len(parts[0][0])
-    keys, totals = _merge_parts(parts) if len(parts) != 1 else parts[0]
-    return (*unpack_key(keys, _pack_shift(n)), totals)
+def _triangle_total(n: int) -> int:
+    """Non-degenerate triangles in [-n, n]^2: C(N^2, 3) minus the collinear
+    triples, counted by their outer points.  A pair with difference
+    (+-dx, +-dy) has gcd(dx, dy) - 1 points strictly between and
+    (N - dx)(N - dy) placements, and both signs count when dx, dy > 0."""
+    side = 2 * n + 1
+    d = np.arange(side, dtype=np.int64)
+    signs = 1 + np.outer(d > 0, d > 0)
+    signs[0, 0] = 0
+    between = np.gcd.outer(d, d) - 1
+    collinear = int((signs * between * np.outer(side - d, side - d)).sum())
+    return math.comb(side * side, 3) - collinear
 
 
 def enumerate_weighted(n: int) -> WeightedShapeSet:
     """Weighted census of all lattice triangles with vertices in [-n, n]^2,
     keyed by similarity class."""
-    p, q, r, totals = _ordered_pair_totals(n)
-    bad = totals % 6
-    if np.any(bad):
-        raise RuntimeError(
-            f"ordered-pair totals not divisible by 6 for {int(np.count_nonzero(bad))} "
-            "keys; the 6-fold anchor/ordering symmetry was violated"
-        )
-    return WeightedShapeSet.from_columns(p, q, r, totals // 6)
+    n = check_int_range(n, "n", 1, MAX_N)
+    keys, weights = _merge(_box_table(n, h) for h in range(1, 2 * n + 1))
+    total, expected = int(weights.sum()), _triangle_total(n)
+    if total != expected:
+        raise RuntimeError(f"census total {total} != closed-form triangle count {expected}")
+    p, q, r = unpack_key(keys, _pack_shift(n))
+    del keys  # from_columns holds the peak; it needs only the columns
+    return WeightedShapeSet.from_columns(p, q, r, weights)
 
 
 def _box_points(box) -> list[tuple[int, int]]:
@@ -258,5 +249,6 @@ def collinear_triple_count(box: tuple[int, int, int, int]) -> int:
 
 
 def total_triangle_count(n: int) -> int:
-    """Number of non-degenerate triangles with vertices in [-n, n]^2."""
-    return enumerate_weighted(n).total_weight
+    """Number of non-degenerate triangles with vertices in [-n, n]^2, from
+    the closed form the census is checked against."""
+    return _triangle_total(check_int_range(n, "n", 1, MAX_N))

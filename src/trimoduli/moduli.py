@@ -262,12 +262,10 @@ class WeightedShapeSet:
                 raise ValueError("some triple fails the strict triangle test")
             if np.any(np.gcd(np.gcd(p, q), r) != 1):
                 raise ValueError("some triple is not gcd-reduced")
-            order = np.lexsort((r, q, p))
-            if not np.array_equal(order, np.arange(len(p))):
-                raise ValueError("columns must be sorted lexicographically by (p, q, r)")
-            same = (p[1:] == p[:-1]) & (q[1:] == q[:-1]) & (r[1:] == r[:-1])
-            if np.any(same):
-                raise ValueError("duplicate keys in columns")
+            # each row must strictly precede the next in (p, q, r) order
+            p0, q0, r0, p1, q1, r1 = p[:-1], q[:-1], r[:-1], p[1:], q[1:], r[1:]
+            if not np.all((p0 < p1) | ((p0 == p1) & ((q0 < q1) | ((q0 == q1) & (r0 < r1))))):
+                raise ValueError("columns must be sorted by (p, q, r) without duplicate keys")
         for arr, name in ((p, "_p"), (q, "_q"), (r, "_r"), (w, "_w")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -1,8 +1,9 @@
 """Worker-count plumbing.
 
-TRIMODULI_THREADS caps the number of workers used by the census and the
-samplers.  Results never depend on the worker count: work is split into
-fixed blocks and block results are reduced in block-index order.
+TRIMODULI_THREADS caps the number of workers used by the Monte Carlo
+samplers; the census runs in one process.  Results never depend on the
+worker count: work is split into fixed blocks and block results are
+reduced in block-index order.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Dirichlet approximants, shape realization, Weyl discrepancy."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import trimoduli as tm
 from test_acceptance import _target_grid
-from trimoduli.diophantine import EPS_FLOOR_1D, EPS_FLOOR_2D, EPS_FLOOR_SHAPE
+from trimoduli.diophantine import EPS_FLOOR_1D, EPS_FLOOR_2D, EPS_FLOOR_SHAPE, MAX_WEYL_COUNT
 
 
 def _passes(m, x, eps):
@@ -291,3 +292,8 @@ class TestWeyl:
             tm.weyl_sequence(math.sqrt(2.0), 0)
         with pytest.raises(tm.GuardError):
             tm.weyl_sequence(math.sqrt(2.0), 3.9)
+        # counts past what can be allocated; at sys.maxsize the point index
+        # would overflow int64 and silently yield no points
+        for count in (MAX_WEYL_COUNT + 1, sys.maxsize):
+            with pytest.raises(tm.GuardError):
+                tm.weyl_sequence(math.sqrt(2.0), count)

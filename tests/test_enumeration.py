@@ -1,14 +1,47 @@
 """Census correctness: the weighted pipeline against brute force."""
 
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimoduli as tm
 from trimoduli import enumeration
-from trimoduli.enumeration import _ordered_pair_totals
+from trimoduli.lattice import unpack_key
+
+
+def box_triangle_count(w: int, h: int) -> int:
+    """T(w, h): triangles whose exact bounding box is w x h, by which
+    corners are vertices (one, two adjacent, two diagonal, three)."""
+    return (
+        4 * (w - 1) * (h - 1)
+        + 2 * (w - 1)
+        + 2 * (h - 1)
+        + 2 * ((w + 1) * (h + 1) - 3 - math.gcd(w, h))
+        + 4
+    )
+
+
+def brute_box_triangle_count(w: int, h: int) -> int:
+    """Non-degenerate point triples of [0, w] x [0, h] that touch all four
+    sides of the box."""
+    pts = [(x, y) for x in range(w + 1) for y in range(h + 1)]
+    total = 0
+    for a, b, c in combinations(pts, 3):
+        if (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0]):
+            continue
+        xs = (a[0], b[0], c[0])
+        ys = (a[1], b[1], c[1])
+        total += min(xs) == 0 and max(xs) == w and min(ys) == 0 and max(ys) == h
+    return total
+
+
+def census_from_tables(n, tables):
+    keys, weights = enumeration._merge(tables)
+    return tm.WeightedShapeSet.from_columns(*unpack_key(keys, enumeration._pack_shift(n)), weights)
 
 
 def collinear_triples_on_grid(side: int) -> int:
@@ -102,19 +135,60 @@ class TestWeightedCensus:
         assert s2.total_weight == 2148
         assert tm.total_triangle_count(3) == 17600
 
-    # n = 2 scans 81 u-rows: one row per batch, and 7 rows per batch with a
-    # ragged last batch of 4
-    @pytest.mark.parametrize("row_target", [1, 7 * 81])
+    # the census merges one key table per box height h; neither the merge
+    # order nor merging one h at a time may change it
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_batch_split_invariance(self, s2, monkeypatch, row_target, threads):
-        monkeypatch.setattr(enumeration, "_ROW_TARGET", row_target)
+    def test_batch_split_invariance(self, s2, monkeypatch, threads):
         monkeypatch.setenv(tm.ENV_THREADS, threads)
-        assert tm.enumerate_weighted(2) == s2
+        for n, census in ((2, s2), (3, tm.enumerate_weighted(3))):
+            tables = [enumeration._box_table(n, h) for h in range(1, 2 * n + 1)]
+            assert census_from_tables(n, tables[::-1]) == census
+            folded = tables[0]
+            for table in tables[1:]:
+                folded = enumeration._merge([folded, table])
+            assert census_from_tables(n, [folded]) == census
 
-    def test_ordered_pair_totals_divisible_by_six(self):
-        for n in (1, 2, 3):
-            _, _, _, w = _ordered_pair_totals(n)
-            assert int(w.sum()) % 6 == 0
+    def test_box_rows_sum_to_closed_form(self):
+        for h in range(1, 21):
+            width, ay, bx, by, orbit = enumeration._box_rows(h)
+            # every row is a non-degenerate triangle (0,0), (w, ay), (bx, by)
+            # whose exact bounding box is w x h
+            assert np.all((0 <= bx) & (bx <= width) & (0 <= ay) & (0 <= by))
+            assert np.all(np.maximum(ay, by) == h)
+            assert np.all(width * by != ay * bx)
+            for w in range(1, h + 1):
+                transpose = 2 if w < h else 1
+                assert int(orbit[width == w].sum()) == transpose * box_triangle_count(w, h)
+
+    def test_box_closed_form_matches_brute_force(self):
+        for w in range(1, 7):
+            for h in range(1, 7):
+                assert box_triangle_count(w, h) == brute_box_triangle_count(w, h)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_ordered_pair_oracle(self, n):
+        # every triangle is six ordered edge-vector pairs (3 anchors x 2
+        # orders), each carrying the translate count of its bounding box
+        span = range(-2 * n, 2 * n + 1)
+        vectors = [(x, y) for x in span for y in span]
+        totals: dict[tuple[int, int, int], int] = {}
+        for u in vectors:
+            for v in vectors:
+                if u[0] * v[1] == u[1] * v[0]:
+                    continue
+                t = tm.TranslationClass(u, v)
+                mult = tm.translation_multiplicity(t.bounding_box(), n)
+                if mult:
+                    key = t.key().triple
+                    totals[key] = totals.get(key, 0) + mult
+        assert all(w % 6 == 0 for w in totals.values())
+        oracle = tm.WeightedShapeSet({k: w // 6 for k, w in totals.items()})
+        assert tm.enumerate_weighted(n) == oracle
+
+    def test_total_mismatch_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_triangle_total", lambda n: 2147)
+        with pytest.raises(RuntimeError, match="2148.*2147"):
+            tm.enumerate_weighted(2)
 
     def test_keys_monotone_in_n(self, s2):
         s3 = tm.enumerate_weighted(3)
@@ -139,6 +213,8 @@ class TestWeightedCensus:
             tm.enumerate_weighted(tm.MAX_N + 1)
         with pytest.raises(tm.GuardError):
             tm.enumerate_weighted(512)
+        with pytest.raises(tm.GuardError):
+            tm.total_triangle_count(65)
         with pytest.raises(tm.GuardError):
             tm.enumerate_weighted("2")
 
@@ -193,8 +269,13 @@ class TestCensusInvariantsAtScale:
         assert expected == 10_396_883_248
         assert s31.total_weight == expected
 
-    def test_max_n_is_the_single_word_packing_bound(self):
-        def bits(n):
-            return 3 * (8 * n * n).bit_length()
+    def test_closed_form_total_matches_grid_formula(self):
+        for n in (1, 2, 3, 16, 31, tm.MAX_N):
+            side = 2 * n + 1
+            expected = math.comb(side * side, 3) - collinear_triples_on_grid(side)
+            assert tm.total_triangle_count(n) == expected
 
-        assert bits(tm.MAX_N) <= 63 < bits(tm.MAX_N + 1)
+    def test_max_n_is_the_analysis_ceiling(self):
+        # one ceiling for census and analysis, and its keys pack into int64
+        assert tm.MAX_N == tm.MAX_ANALYSIS_N
+        assert 3 * (8 * tm.MAX_N**2).bit_length() <= 63
