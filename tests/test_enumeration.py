@@ -136,16 +136,22 @@ class TestWeightedCensus:
         assert tm.total_triangle_count(3) == 17600
 
     # the census merges one key table per box height h; neither the merge
-    # order nor merging one h at a time may change it
+    # order nor merging the tables in batches of h_batch heights may change
+    # it: one h at a time, and one batch (567 exceeds every height count here)
+    @pytest.mark.parametrize("h_batch", [1, 567])
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_batch_split_invariance(self, s2, monkeypatch, threads):
+    def test_batch_split_invariance(self, s2, monkeypatch, h_batch, threads):
         monkeypatch.setenv(tm.ENV_THREADS, threads)
         for n, census in ((2, s2), (3, tm.enumerate_weighted(3))):
             tables = [enumeration._box_table(n, h) for h in range(1, 2 * n + 1)]
             assert census_from_tables(n, tables[::-1]) == census
-            folded = tables[0]
-            for table in tables[1:]:
-                folded = enumeration._merge([folded, table])
+            batches = [
+                enumeration._merge(tables[i:i + h_batch])
+                for i in range(0, len(tables), h_batch)
+            ]
+            folded = batches[0]
+            for batch in batches[1:]:
+                folded = enumeration._merge([folded, batch])
             assert census_from_tables(n, [folded]) == census
 
     def test_box_rows_sum_to_closed_form(self):
