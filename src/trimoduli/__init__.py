@@ -94,6 +94,7 @@ from .analysis import (
     uniform_bin_masses,
 )
 from .serialize import (
+    export_approximant,
     export_curve,
     export_estimate,
     export_histogram,
@@ -102,6 +103,6 @@ from .serialize import (
     read_weighted_set,
     write_text,
 )
-from .svgplot import plot_curve, plot_shapes
+from .svgplot import MAX_PLOT_POINTS, census_points, plot_curve, plot_shapes
 
 __version__ = "0.1.0"

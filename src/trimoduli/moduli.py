@@ -227,10 +227,7 @@ class WeightedShapeSet:
                 trip = key.triple
             else:
                 trip = SimilarityKey(*key).triple  # validates arbitrary tuples
-            w = int(weight)
-            if w <= 0:
-                raise ValueError(f"weight for {trip} must be positive, got {weight}")
-            rows.append((*trip, w))
+            rows.append((*trip, check_int_range(weight, "weight", 1, (1 << 63) - 1)))
         rows.sort()
         cols = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
         self._init_columns(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])

@@ -9,12 +9,14 @@ schema tag.  Identical inputs produce identical bytes on any platform.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .analysis import EquidistReport, ObtuseCurvePoint
-from .errors import GuardError
-from .moduli import WeightedShapeSet, normalized_sides
+from .errors import GuardError, check_int_range
+from .lattice import LatticeTriangle, similarity_key
+from .moduli import ShapeTriple, WeightedShapeSet, normalized_sides, shape_of
 from .randgeom import Histogram2D, McEstimate
 
 WSET_SCHEMA = "trimoduli.weighted-set.v1"
@@ -22,12 +24,14 @@ CURVE_SCHEMA = "trimoduli.obtuse-curve.v1"
 REPORT_SCHEMA = "trimoduli.equidist-report.v1"
 ESTIMATE_SCHEMA = "trimoduli.mc-estimate.v1"
 HISTOGRAM_SCHEMA = "trimoduli.histogram.v1"
+APPROX_SCHEMA = "trimoduli.approximant.v1"
 
-_WSET_COLUMNS = "p,q,r,weight,angle_class,a,b,c"
-_CURVE_COLUMNS = (
-    "n,weighted_fraction,distinct_fraction,total_weight,distinct_count,"
-    "obtuse_weight,obtuse_distinct"
-)
+_WSET_COLUMNS = ("p", "q", "r", "weight", "angle_class", "a", "b", "c")
+
+
+def _json_doc(schema: str, **body) -> str:
+    """The one JSON framing: the schema tag beside the body, keys sorted."""
+    return json.dumps({"schema": schema, **body}, sort_keys=True) + "\n"
 
 
 def _angle_names(p, q, r) -> np.ndarray:
@@ -38,130 +42,111 @@ def _angle_names(p, q, r) -> np.ndarray:
 def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:
     """Serialize a weighted census, rows sorted by (p, q, r)."""
     p, q, r, w = s.columns()
-    angles = _angle_names(p, q, r)
     a, b, c = normalized_sides(p, q, r)
+    # tolist() hands back Python scalars, so !r prints bare shortest
+    # round-trip floats rather than numpy scalar wrappers
+    cols = [col.tolist() for col in (p, q, r, w, _angle_names(p, q, r), a, b, c)]
     if fmt == "csv":
-        lines = [f"# schema: {WSET_SCHEMA}", _WSET_COLUMNS]
-        cols = zip(
-            p.tolist(), q.tolist(), r.tolist(), w.tolist(),
-            angles.tolist(), a.tolist(), b.tolist(), c.tolist(),
-        )
-        # tolist() hands back Python scalars, so !r prints bare shortest
-        # round-trip floats rather than numpy scalar wrappers
-        for pi, qi, ri, wi, ang, aa, bb, cc in cols:
+        lines = [f"# schema: {WSET_SCHEMA}", ",".join(_WSET_COLUMNS)]
+        for pi, qi, ri, wi, ang, aa, bb, cc in zip(*cols):
             lines.append(f"{pi},{qi},{ri},{wi},{ang},{aa!r},{bb!r},{cc!r}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        entries = [
-            {
-                "p": int(p[i]),
-                "q": int(q[i]),
-                "r": int(r[i]),
-                "weight": int(w[i]),
-                "angle_class": str(angles[i]),
-                "a": float(a[i]),
-                "b": float(b[i]),
-                "c": float(c[i]),
-            }
-            for i in range(len(w))
-        ]
-        doc = {
-            "schema": WSET_SCHEMA,
-            "total_weight": s.total_weight,
-            "distinct_count": len(s),
-            "entries": entries,
-        }
-        return json.dumps(doc, sort_keys=True) + "\n"
+        entries = [dict(zip(_WSET_COLUMNS, row)) for row in zip(*cols)]
+        return _json_doc(
+            WSET_SCHEMA, total_weight=s.total_weight, distinct_count=len(s), entries=entries
+        )
     raise GuardError(f"unsupported weighted-set format {fmt!r}")
 
 
 def _parse_wset_rows(rows) -> WeightedShapeSet:
+    """rows of (p, q, r, weight); each must be an int64 integer."""
+    for row in rows:
+        for name, v in zip(_WSET_COLUMNS, row):
+            check_int_range(v, name, -(1 << 63), (1 << 63) - 1)
     arr = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
     return WeightedShapeSet.from_columns(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
 
 
 def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
-    """Parse a weighted census produced by export_weighted_set."""
+    """Parse a weighted census produced by export_weighted_set; GuardError
+    when the text is not such an export."""
     if fmt == "csv":
         lines = text.splitlines()
         if not lines or lines[0] != f"# schema: {WSET_SCHEMA}":
             raise GuardError("missing weighted-set schema tag")
-        if len(lines) < 2 or lines[1] != _WSET_COLUMNS:
+        if len(lines) < 2 or lines[1] != ",".join(_WSET_COLUMNS):
             raise GuardError("missing weighted-set column header")
         rows = []
-        for line in lines[2:]:
+        for lineno, line in enumerate(lines[2:], start=3):
             if not line:
                 continue
             parts = line.split(",")
-            rows.append((int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])))
+            if len(parts) != len(_WSET_COLUMNS):
+                raise GuardError(
+                    f"line {lineno} has {len(parts)} fields, not {len(_WSET_COLUMNS)}"
+                )
+            try:
+                rows.append([int(v) for v in parts[:4]])
+            except ValueError:
+                raise GuardError(f"line {lineno}: p, q, r, weight must be integers") from None
         return _parse_wset_rows(rows)
     if fmt == "json":
         doc = json.loads(text)
-        if doc.get("schema") != WSET_SCHEMA:
+        if not isinstance(doc, dict) or doc.get("schema") != WSET_SCHEMA:
             raise GuardError("missing weighted-set schema tag")
-        rows = [(e["p"], e["q"], e["r"], e["weight"]) for e in doc["entries"]]
+        entries = doc.get("entries")
+        if not isinstance(entries, list):
+            raise GuardError("weighted-set document has no entries list")
+        try:
+            rows = [[e["p"], e["q"], e["r"], e["weight"]] for e in entries]
+        except (KeyError, TypeError):
+            raise GuardError("every entry needs p, q, r and weight") from None
         return _parse_wset_rows(rows)
     raise GuardError(f"unsupported weighted-set format {fmt!r}")
 
 
-def _curve_point_doc(pt: ObtuseCurvePoint) -> dict:
-    return {
-        "n": pt.n,
-        "weighted_fraction": pt.weighted_fraction,
-        "distinct_fraction": pt.distinct_fraction,
-        "total_weight": pt.total_weight,
-        "distinct_count": pt.distinct_count,
-        "obtuse_weight": pt.obtuse_weight,
-        "obtuse_distinct": pt.obtuse_distinct,
-    }
-
-
 def export_curve(points: list[ObtuseCurvePoint], fmt: str = "csv") -> str:
     """Serialize an obtuse-fraction curve, one row per n."""
+    names = [f.name for f in fields(ObtuseCurvePoint)]
     if fmt == "csv":
-        lines = [f"# schema: {CURVE_SCHEMA}", _CURVE_COLUMNS]
+        lines = [f"# schema: {CURVE_SCHEMA}", ",".join(names)]
         for pt in points:
-            lines.append(
-                f"{pt.n},{pt.weighted_fraction!r},{pt.distinct_fraction!r},"
-                f"{pt.total_weight},{pt.distinct_count},{pt.obtuse_weight},"
-                f"{pt.obtuse_distinct}"
-            )
+            # str of a Python float is its shortest round-trip repr
+            lines.append(",".join(str(getattr(pt, name)) for name in names))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        doc = {"schema": CURVE_SCHEMA, "points": [_curve_point_doc(p) for p in points]}
-        return json.dumps(doc, sort_keys=True) + "\n"
+        return _json_doc(CURVE_SCHEMA, points=[asdict(pt) for pt in points])
     raise GuardError(f"unsupported curve format {fmt!r}")
 
 
 def export_report(report: EquidistReport) -> str:
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "n": report.n,
-        "empirical_ratio": report.empirical_ratio,
-        "uniform_target": report.uniform_target,
-        "langford": report.langford,
-        "gap_to_uniform": report.gap_to_uniform,
-        "gap_to_langford": report.gap_to_langford,
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return _json_doc(REPORT_SCHEMA, **asdict(report))
 
 
 def export_estimate(est: McEstimate, kind: str) -> str:
-    doc = {
-        "schema": ESTIMATE_SCHEMA,
-        "kind": kind,
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "samples": est.samples,
-        "seed": est.seed,
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return _json_doc(ESTIMATE_SCHEMA, kind=kind, **asdict(est))
+
+
+def export_approximant(target: ShapeTriple, eps: float, tri: LatticeTriangle) -> str:
+    """A lattice triangle found for target within eps, with its verified
+    shape and distance."""
+    achieved = shape_of(similarity_key(tri))
+    return _json_doc(
+        APPROX_SCHEMA,
+        target=list(target.triple),
+        eps=eps,
+        vertices=[[v.x, v.y] for v in tri.vertices],
+        shape=list(achieved.triple),
+        distance=achieved.distance_to(target),
+    )
 
 
 def export_histogram(h: Histogram2D, fmt: str = "csv") -> str:
     """Serialize a shape histogram; only nonzero cells are written."""
     mode = "labeled" if h.labeled else "sorted"
     ix, iy = np.nonzero(h.counts)
+    cells = [list(c) for c in zip(ix.tolist(), iy.tolist(), h.counts[ix, iy].tolist())]
     if fmt == "csv":
         lines = [
             f"# schema: {HISTOGRAM_SCHEMA}",
@@ -169,24 +154,19 @@ def export_histogram(h: Histogram2D, fmt: str = "csv") -> str:
             f"total={h.total} obtuse_count={h.obtuse_count}",
             "ix,iy,count",
         ]
-        for i in range(len(ix)):
-            lines.append(f"{ix[i]},{iy[i]},{h.counts[ix[i], iy[i]]}")
+        lines.extend(f"{i},{j},{count}" for i, j, count in cells)
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        doc = {
-            "schema": HISTOGRAM_SCHEMA,
-            "bins": h.bin_count,
-            "samples": h.samples,
-            "seed": h.seed,
-            "mode": mode,
-            "total": h.total,
-            "obtuse_count": h.obtuse_count,
-            "entries": [
-                [int(ix[i]), int(iy[i]), int(h.counts[ix[i], iy[i]])]
-                for i in range(len(ix))
-            ],
-        }
-        return json.dumps(doc, sort_keys=True) + "\n"
+        return _json_doc(
+            HISTOGRAM_SCHEMA,
+            bins=h.bin_count,
+            samples=h.samples,
+            seed=h.seed,
+            mode=mode,
+            total=h.total,
+            obtuse_count=h.obtuse_count,
+            entries=cells,
+        )
     raise GuardError(f"unsupported histogram format {fmt!r}")
 
 

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 
-from .analysis import ObtuseCurvePoint
+import numpy as np
+
+from .analysis import ObtuseCurvePoint, orbit_projections
 from .errors import GuardError
-from .moduli import uniform_target, ModuliRegion
+from .moduli import ModuliRegion, WeightedShapeSet, uniform_target
 from .randgeom import langford_obtuse_probability
 from .serialize import write_text
 
@@ -29,21 +31,44 @@ def _svg(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
+# Largest shape scatter drawn, 2**22 points.  plot-shapes peaks at about
+# 360 bytes per point: the n = 24 census (4,125,987 points) took 16 s, a
+# peak RSS of 1.5 GB and a 378 MB SVG on a 2-CPU machine.  The n = 31
+# census projects to 11.4 M points, about 4 GB.
+MAX_PLOT_POINTS = 1 << 22
+
+
+def census_points(census: WeightedShapeSet) -> np.ndarray:
+    """(a, b) rows of the labeled orbit projections of census, for
+    plot_shapes.  A class has 3 or 6 projections (the one equilateral class
+    has 1), so a census that cannot fit MAX_PLOT_POINTS is refused before
+    its projections are built."""
+    if 3 * len(census) - 2 > MAX_PLOT_POINTS:
+        raise GuardError(
+            f"{len(census)} classes project to more than MAX_PLOT_POINTS = "
+            f"{MAX_PLOT_POINTS} scatter points"
+        )
+    a, b, _ = orbit_projections(census)
+    return np.column_stack((a, b))
+
+
 def plot_shapes(points, path: str) -> None:
     """Scatter of ab-plane shape points over the labeled region.
 
-    points is a sequence of (a, b) pairs inside {a < 1, b < 1, a + b > 1}.
-    The region boundary, the three isosceles segments, and the equilateral
-    point (2/3, 2/3) are drawn for orientation.
+    points is a sequence of (a, b) pairs inside {a < 1, b < 1, a + b > 1},
+    at most MAX_PLOT_POINTS of them.  The region boundary, the three
+    isosceles segments, and the equilateral point (2/3, 2/3) are drawn for
+    orientation.
     """
-    pts = [(float(a), float(b)) for a, b in points]
-    if not pts:
+    if len(points) > MAX_PLOT_POINTS:
+        raise GuardError(f"{len(points)} points exceed MAX_PLOT_POINTS = {MAX_PLOT_POINTS}")
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not len(pts):
         raise GuardError("no points to plot")
-    for a, b in pts:
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise GuardError(f"non-finite plot point ({a}, {b})")
-        if not (-0.01 <= a <= 1.01 and -0.01 <= b <= 1.01):
-            raise GuardError(f"point ({a}, {b}) far outside the unit square")
+    bad = ~np.all(np.isfinite(pts) & (pts >= -0.01) & (pts <= 1.01), axis=1)
+    if bad.any():
+        a, b = pts[np.argmax(bad)].tolist()
+        raise GuardError(f"point ({a}, {b}) is not finite or lies far outside the unit square")
 
     size = 640
     margin = 60
@@ -67,7 +92,7 @@ def plot_shapes(points, path: str) -> None:
             f'<line class="iso" x1="{px(a1)}" y1="{py(b1)}" x2="{px(a2)}" '
             f'y2="{py(b2)}" stroke="#888" stroke-width="1" stroke-dasharray="5 4"/>'
         )
-    for a, b in pts:
+    for a, b in pts.tolist():
         body.append(
             f'<circle class="pt" cx="{px(a)}" cy="{py(b)}" r="2.2" '
             f'fill="#1f77b4" fill-opacity="0.35"/>'

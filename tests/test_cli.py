@@ -163,6 +163,13 @@ class TestPlotCommands:
         root = ET.parse(out).getroot()
         assert root.tag.endswith("svg")
 
+    def test_plot_shapes_above_point_cap_is_3(self, tmp_path, capsys):
+        # n = 25 is the first census past MAX_PLOT_POINTS: 4,860,300 points
+        out = tmp_path / "shapes.svg"
+        assert main(["plot-shapes", "--n", "25", "--out", str(out)]) == 3
+        assert "MAX_PLOT_POINTS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_curve_writes_svg(self, tmp_path):
         out = tmp_path / "curve.svg"
         assert main(["plot-curve", "--n-max", "3", "--out", str(out)]) == 0
@@ -174,18 +181,54 @@ class TestPlotCommands:
 # artifact is part of the contract, so these hold across any refactor that
 # leaves the results unchanged
 PINNED_OUTPUTS = [
-    ("enumerate --n 4 --format csv", "d636adb5033b6fa0598077945f48c97b67b0b3c1e09d8cd8720273992643fc4a"),
-    ("enumerate --n 4 --format json", "f00b375643d3971f2d891af231eb6323a0f5431995be6e1aaa232d75c5fad9a2"),
-    ("curve --n-max 5 --format csv", "3892f81b149e4f295b4f657f9ae681cc51e206717558533a21324d818e288fb3"),
-    ("curve --n-max 5 --format json", "d12bb69b84576b6cde80d44710622188b3700a8e1b29c1d787a63a4c391621ae"),
-    ("report --n 4", "5c4e19e369582b22d929925ba2332e1d83ea9ee4e006567a8efc826d68ac0ac4"),
-    ("approx --a 3 --b 4 --c 5 --eps 1e-3", "902bfb380eb6f4b99f9091b1a2427492839dcf81a0e70c423f677d59b51230a0"),
-    ("mc-obtuse --samples 20000 --seed 3", "efed197adbdba9679665eb3ad5814fe23d2c220bcd69f90783166c8fccf98e2d"),
-    ("mc-distance --samples 20000 --seed 3", "a2ed13efa5069c775e027e869f62a2367607137ab8def83cab2882541cf8207e"),
-    ("hist --samples 20000 --bins 16 --seed 3", "2e6f346022794252fa61285085435cab41269d768e0880210fd773468738d0ae"),
-    ("hist --samples 20000 --bins 16 --seed 3 --mode sorted --format json", "019a2b68c86e6eb5e1ac33bead701fb7c2446d0ca95e2df7c56847230a2b0420"),
-    ("plot-shapes --n 4", "ed88b6f05f73f3cd222e6fa32734456a17f82f183f1c7e9838da27a325d06e08"),
-    ("plot-curve --n-max 5", "60bceb28d949efda6b0b3a950a92cd2031cb0f0de80db008c2058ae7afff1dff"),
+    (
+        "enumerate --n 4 --format csv",
+        "d636adb5033b6fa0598077945f48c97b67b0b3c1e09d8cd8720273992643fc4a",
+    ),
+    (
+        "enumerate --n 4 --format json",
+        "f00b375643d3971f2d891af231eb6323a0f5431995be6e1aaa232d75c5fad9a2",
+    ),
+    (
+        "curve --n-max 5 --format csv",
+        "3892f81b149e4f295b4f657f9ae681cc51e206717558533a21324d818e288fb3",
+    ),
+    (
+        "curve --n-max 5 --format json",
+        "d12bb69b84576b6cde80d44710622188b3700a8e1b29c1d787a63a4c391621ae",
+    ),
+    (
+        "report --n 4",
+        "5c4e19e369582b22d929925ba2332e1d83ea9ee4e006567a8efc826d68ac0ac4",
+    ),
+    (
+        "approx --a 3 --b 4 --c 5 --eps 1e-3",
+        "902bfb380eb6f4b99f9091b1a2427492839dcf81a0e70c423f677d59b51230a0",
+    ),
+    (
+        "mc-obtuse --samples 20000 --seed 3",
+        "efed197adbdba9679665eb3ad5814fe23d2c220bcd69f90783166c8fccf98e2d",
+    ),
+    (
+        "mc-distance --samples 20000 --seed 3",
+        "a2ed13efa5069c775e027e869f62a2367607137ab8def83cab2882541cf8207e",
+    ),
+    (
+        "hist --samples 20000 --bins 16 --seed 3",
+        "2e6f346022794252fa61285085435cab41269d768e0880210fd773468738d0ae",
+    ),
+    (
+        "hist --samples 20000 --bins 16 --seed 3 --mode sorted --format json",
+        "019a2b68c86e6eb5e1ac33bead701fb7c2446d0ca95e2df7c56847230a2b0420",
+    ),
+    (
+        "plot-shapes --n 4",
+        "ed88b6f05f73f3cd222e6fa32734456a17f82f183f1c7e9838da27a325d06e08",
+    ),
+    (
+        "plot-curve --n-max 5",
+        "60bceb28d949efda6b0b3a950a92cd2031cb0f0de80db008c2058ae7afff1dff",
+    ),
 ]
 
 

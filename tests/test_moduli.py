@@ -241,6 +241,12 @@ class TestWeightedShapeSet:
         with pytest.raises(ValueError):
             tm.WeightedShapeSet({tm.SimilarityKey(1, 1, 2): 0})
 
+    @pytest.mark.parametrize("weight", [2.7, True, 2**64])
+    def test_rejects_weights_that_are_not_int64_integers(self, weight):
+        # none may be truncated (2.7 -> 2, True -> 1) or overflow numpy
+        with pytest.raises(tm.GuardError):
+            tm.WeightedShapeSet({(1, 1, 2): weight})
+
     def test_rejects_duplicate_keys_in_mapping(self):
         # a SimilarityKey and an equal plain tuple are distinct dict keys
         with pytest.raises(ValueError):

@@ -43,6 +43,11 @@ class TestWeightedSetCsv:
         with pytest.raises(tm.GuardError):
             tm.read_weighted_set(bad, "csv")
 
+    def test_rejects_short_row(self):
+        bad = UNIT_SQUARE_CSV + "1,2,5\n"
+        with pytest.raises(tm.GuardError):
+            tm.read_weighted_set(bad, "csv")
+
 
 class TestWeightedSetJson:
     def test_round_trip(self, s2):
@@ -60,6 +65,27 @@ class TestWeightedSetJson:
     def test_rejects_wrong_schema(self):
         with pytest.raises(tm.GuardError):
             tm.read_weighted_set('{"schema": "something.else", "entries": []}', "json")
+
+    def test_rejects_document_that_is_not_an_object(self):
+        with pytest.raises(tm.GuardError):
+            tm.read_weighted_set("[]", "json")
+
+    def test_rejects_document_without_entries(self):
+        with pytest.raises(tm.GuardError):
+            tm.read_weighted_set('{"schema": "trimoduli.weighted-set.v1"}', "json")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"p": 1, "q": 1, "r": 2, "weight": 2.5},  # used to be read as weight 2
+            {"p": 1, "q": 1, "r": 2.9, "weight": 4},  # used to be read as key (1, 1, 2)
+        ],
+        ids=["float-weight", "float-r"],
+    )
+    def test_rejects_non_integer_fields(self, entry):
+        doc = json.dumps({"schema": "trimoduli.weighted-set.v1", "entries": [entry]})
+        with pytest.raises(tm.GuardError):
+            tm.read_weighted_set(doc, "json")
 
     def test_rejects_unknown_format(self, s2):
         with pytest.raises(tm.GuardError):

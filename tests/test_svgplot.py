@@ -68,6 +68,32 @@ class TestShapeScatter:
         with pytest.raises(tm.GuardError):
             tm.plot_shapes([(float("nan"), 0.5)], str(tmp_path / "x.svg"))
 
+    def test_point_cap_checked_before_any_point_is_read(self, tmp_path):
+        class Oversized:
+            def __len__(self):
+                return tm.MAX_PLOT_POINTS + 1
+
+            def __iter__(self):
+                raise AssertionError("points read before the cap was checked")
+
+        out = tmp_path / "x.svg"
+        with pytest.raises(tm.GuardError):
+            tm.plot_shapes(Oversized(), str(out))
+        assert not out.exists()
+
+    def test_census_points_refuses_n31_before_projecting(self, s31, monkeypatch):
+        def project(census):
+            raise AssertionError("projections built for an oversized census")
+
+        monkeypatch.setattr("trimoduli.svgplot.orbit_projections", project)
+        with pytest.raises(tm.GuardError):
+            tm.census_points(s31)
+
+    def test_census_points_rows_are_orbit_projections(self):
+        s = tm.enumerate_weighted(3)
+        a, b, _ = tm.orbit_projections(s)
+        assert tm.census_points(s).tolist() == list(map(list, zip(a.tolist(), b.tolist())))
+
 
 class TestCurvePlot:
     def test_single_point_structure(self, tmp_path):
