@@ -8,17 +8,17 @@ and return None.
 
 Exit codes: 0 success, 2 usage errors (argparse), 3 violated guards
 (GuardError) or other invalid values (ValueError), 4 failed numeric
-post-conditions, 1 I/O failures or a worker process that died (for
-example, killed for running out of memory).  All outputs are deterministic
-for identical flags; TRIMODULI_THREADS only caps the Monte Carlo sampler
-workers (the census runs in one process) and never changes bytes.
+post-conditions (PrecisionError), 1 I/O failures.  The Monte Carlo
+samplers run their blocks on threads of this process, so an exception
+raised in a block reaches main with its own type.  All outputs are
+deterministic for identical flags; TRIMODULI_THREADS only sets the sampler
+thread count (the census runs on one thread) and never changes bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import BrokenExecutor
 
 from .analysis import equidist_report, obtuse_curve
 from .diophantine import approximate_shape
@@ -150,9 +150,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         name = getattr(exc, "filename", None) or "<io>"
         print(f"error: {name}: {exc}", file=sys.stderr)
-        return 1
-    except BrokenExecutor as exc:
-        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,15 +1,16 @@
 """Worker-count plumbing.
 
-TRIMODULI_THREADS caps the number of workers used by the Monte Carlo
-samplers; the census runs in one process.  Results never depend on the
-worker count: work is split into fixed blocks and block results are
-reduced in block-index order.
+TRIMODULI_THREADS sets the number of threads that run the Monte Carlo
+sampler blocks (numpy releases the GIL inside their kernels); the census
+runs on one thread.  Results never depend on the worker count: work is
+split into fixed blocks and block results are reduced in block-index order.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 from .errors import GuardError
 
@@ -30,14 +31,18 @@ def worker_count() -> int:
 
 
 def map_ordered(fn, args_list, workers: int):
-    """Apply fn over args tuples, returning results in args_list order.
+    """Yield fn(*args) for each args tuple, in args_list order, computed on
+    `workers` threads.
 
-    workers == 1 runs inline; more workers use a process pool.  Either way
-    the caller sees the same sequence, so downstream reductions are
-    independent of the worker count.
+    At most 2 * workers calls are submitted and not yet yielded, so with the
+    one the caller holds at most 2 * workers + 1 results are alive.  A
+    call's exception is raised at its position, after the earlier results.
     """
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
-        return [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for args in args_list:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, *args))
+        while pending:
+            yield pending.popleft().result()

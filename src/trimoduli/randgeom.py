@@ -9,9 +9,9 @@ Estimates come with the exact references they are checked against:
 * P(obtuse) for three uniform points in a square: 97/150 + pi/40
 * mean distance of two uniform points: (2 + sqrt 2 + 5 asinh 1)/15
 
-Sampling runs in fixed blocks with per-block streams (see rng); block
-results are reduced in block-index order, so estimates are bit-identical
-regardless of the worker count.
+Sampling runs in fixed blocks with per-block streams (see rng) on the
+threads of parallel.map_ordered; one fold sums the block results in
+block-index order, so estimates are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ def _obtuse_mask(ab: np.ndarray, bc: np.ndarray, ca: np.ndarray) -> np.ndarray:
     return hi > rest + OBTUSE_MARGIN
 
 
-def _obtuse_block(seed: int, index: int, size: int) -> int:
+def _obtuse_block(seed: int, index: int, size: int) -> tuple[int]:
     gen = block_generator(seed, index)
     u = _triangle_uniforms(gen, size)
-    return int(np.count_nonzero(_obtuse_mask(*_squared_sides_cols(u))))
+    return (int(np.count_nonzero(_obtuse_mask(*_squared_sides_cols(u)))),)
 
 
 def _distance_block(seed: int, index: int, size: int) -> tuple[float, float]:
@@ -147,14 +147,23 @@ def _check_mc_args(samples, seed) -> tuple[int, int]:
     return samples, _check_seed(seed)
 
 
+def _fold_blocks(block, samples: int, seed: int, *extra) -> list:
+    """Sum the result tuples of block(seed, i, size, *extra) over
+    block_sizes(samples) field by field, in block-index order, as they
+    arrive; arrays are summed in place."""
+    args = [(seed, i, size, *extra) for i, size in enumerate(block_sizes(samples))]
+    results = map_ordered(block, args, worker_count())
+    totals = list(next(results))
+    for result in results:
+        for k, value in enumerate(result):
+            totals[k] += value
+    return totals
+
+
 def obtuse_probability(samples: int, seed: int) -> McEstimate:
     """Estimate P(obtuse) for uniform random triangles in the unit square."""
     samples, seed = _check_mc_args(samples, seed)
-    sizes = block_sizes(samples)
-    args = [(seed, i, sz) for i, sz in enumerate(sizes)]
-    hits = 0
-    for h in map_ordered(_obtuse_block, args, worker_count()):
-        hits += h
+    (hits,) = _fold_blocks(_obtuse_block, samples, seed)
     mean = hits / samples
     se = math.sqrt(mean * (1.0 - mean) / samples)
     return McEstimate(mean=mean, std_error=se, samples=samples, seed=seed)
@@ -163,13 +172,7 @@ def obtuse_probability(samples: int, seed: int) -> McEstimate:
 def mean_pair_distance(samples: int, seed: int) -> McEstimate:
     """Estimate the mean distance of two uniform points in the unit square."""
     samples, seed = _check_mc_args(samples, seed)
-    sizes = block_sizes(samples)
-    args = [(seed, i, sz) for i, sz in enumerate(sizes)]
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in map_ordered(_distance_block, args, worker_count()):
-        total += s
-        total_sq += s2
+    total, total_sq = _fold_blocks(_distance_block, samples, seed)
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     se = math.sqrt(var / samples)
@@ -194,7 +197,7 @@ def _histogram_block(
     ix = np.clip((x * bins).astype(np.int64), 0, bins - 1)
     iy = np.clip((y * bins).astype(np.int64), 0, bins - 1)
     grid = np.bincount(ix * bins + iy, minlength=bins * bins).reshape(bins, bins)
-    return grid.astype(np.int64), obtuse
+    return grid.astype(np.int64, copy=False), obtuse
 
 
 def shape_histogram(
@@ -204,13 +207,7 @@ def shape_histogram(
     samples = check_int_range(samples, "samples", 1, sys.maxsize)
     bins = check_int_range(bins, "bins", 2, MAX_BINS)
     seed = _check_seed(seed)
-    sizes = block_sizes(samples)
-    args = [(seed, i, sz, bins, labeled) for i, sz in enumerate(sizes)]
-    grid = np.zeros((bins, bins), dtype=np.int64)
-    obtuse = 0
-    for g, ob in map_ordered(_histogram_block, args, worker_count()):
-        grid += g
-        obtuse += ob
+    grid, obtuse = _fold_blocks(_histogram_block, samples, seed, bins, labeled)
     return Histogram2D(
         counts=grid,
         bin_count=bins,

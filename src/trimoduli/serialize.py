@@ -59,18 +59,9 @@ def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:
     raise GuardError(f"unsupported weighted-set format {fmt!r}")
 
 
-def _parse_wset_rows(rows) -> WeightedShapeSet:
-    """rows of (p, q, r, weight); each must be an int64 integer."""
-    for row in rows:
-        for name, v in zip(_WSET_COLUMNS, row):
-            check_int_range(v, name, -(1 << 63), (1 << 63) - 1)
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
-    return WeightedShapeSet.from_columns(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
-
-
 def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
     """Parse a weighted census produced by export_weighted_set; GuardError
-    when the text is not such an export."""
+    when the text is not such an export, byte for byte."""
     if fmt == "csv":
         lines = text.splitlines()
         if not lines or lines[0] != f"# schema: {WSET_SCHEMA}":
@@ -79,8 +70,6 @@ def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
             raise GuardError("missing weighted-set column header")
         rows = []
         for lineno, line in enumerate(lines[2:], start=3):
-            if not line:
-                continue
             parts = line.split(",")
             if len(parts) != len(_WSET_COLUMNS):
                 raise GuardError(
@@ -90,8 +79,7 @@ def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
                 rows.append([int(v) for v in parts[:4]])
             except ValueError:
                 raise GuardError(f"line {lineno}: p, q, r, weight must be integers") from None
-        return _parse_wset_rows(rows)
-    if fmt == "json":
+    elif fmt == "json":
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("schema") != WSET_SCHEMA:
             raise GuardError("missing weighted-set schema tag")
@@ -102,8 +90,18 @@ def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
             rows = [[e["p"], e["q"], e["r"], e["weight"]] for e in entries]
         except (KeyError, TypeError):
             raise GuardError("every entry needs p, q, r and weight") from None
-        return _parse_wset_rows(rows)
-    raise GuardError(f"unsupported weighted-set format {fmt!r}")
+    else:
+        raise GuardError(f"unsupported weighted-set format {fmt!r}")
+    for row in rows:
+        for name, v in zip(_WSET_COLUMNS, row):
+            check_int_range(v, name, -(1 << 63), (1 << 63) - 1)
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+    s = WeightedShapeSet.from_columns(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+    # the field checks above stop malformed input before any array is
+    # built; this rejects the rest: signs, spaces, derived columns, totals
+    if export_weighted_set(s, fmt) != text:
+        raise GuardError(f"text is not the {fmt} export of the census it lists")
+    return s
 
 
 def export_curve(points: list[ObtuseCurvePoint], fmt: str = "csv") -> str:

@@ -5,7 +5,7 @@ import trimoduli as tm
 
 @pytest.fixture(scope="session")
 def s31():
-    """The n = 31 census; shared because it costs ~half a minute."""
+    """The n = 31 census; shared because it costs about 1 s."""
     return tm.enumerate_weighted(31)
 
 

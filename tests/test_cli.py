@@ -6,7 +6,6 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -77,13 +76,19 @@ class TestExitCodes:
         assert main(["enumerate", "--n", "1", "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_dead_worker_is_1(self, capsys, monkeypatch):
-        def die(n):
-            raise BrokenProcessPool("a worker was killed")
+    @pytest.mark.parametrize(
+        ("error", "code"), [(tm.PrecisionError, 4), (tm.GuardError, 3)], ids=["precision", "guard"]
+    )
+    def test_sampler_block_error_keeps_its_exit_code(self, capsys, monkeypatch, error, code):
+        def fail_third_block(seed, index, size):
+            if index == 2:
+                raise error("block failed")
+            return (0,)
 
-        monkeypatch.setattr("trimoduli.cli.enumerate_weighted", die)
-        assert main(["enumerate", "--n", "2"]) == 1
-        assert "error:" in capsys.readouterr().err
+        monkeypatch.setenv(tm.ENV_THREADS, "2")
+        monkeypatch.setattr("trimoduli.randgeom._obtuse_block", fail_third_block)
+        assert main(["mc-obtuse", "--samples", "1000000"]) == code
+        assert "error: block failed" in capsys.readouterr().err
 
     def test_plot_requires_out(self):
         with pytest.raises(SystemExit) as exc:

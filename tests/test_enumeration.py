@@ -244,12 +244,26 @@ class TestParallelPath:
         from trimoduli.parallel import map_ordered
 
         args = [(i,) for i in range(7)]
-        assert map_ordered(_square, args, workers=1) == [i * i for i in range(7)]
-        assert map_ordered(_square, args, workers=2) == [i * i for i in range(7)]
+        assert list(map_ordered(_square, args, workers=1)) == [i * i for i in range(7)]
+        assert list(map_ordered(_square, args, workers=2)) == [i * i for i in range(7)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_map_ordered_raises_at_the_failing_call(self, workers):
+        from trimoduli.parallel import map_ordered
+
+        seen = []
+        with pytest.raises(ZeroDivisionError):
+            for value in map_ordered(_inverse, [(i,) for i in (4, 2, 1, 0, 5)], workers):
+                seen.append(value)
+        assert seen == [0.25, 0.5, 1.0]
 
 
 def _square(i):
     return i * i
+
+
+def _inverse(i):
+    return 1 / i
 
 
 @given(st.integers(min_value=1, max_value=3))

@@ -1,6 +1,7 @@
 """Monte Carlo estimators vs closed forms, and stream reproducibility."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -109,6 +110,36 @@ class TestDistanceEstimator:
         base = tm.mean_pair_distance(200_000, 5)
         monkeypatch.setenv(tm.ENV_THREADS, "2")
         assert tm.mean_pair_distance(200_000, 5) == base
+
+
+class TestBlockFold:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_block_results_alive_at_once_are_bounded(self, monkeypatch, threads):
+        lock = threading.RLock()
+        live = {"now": 0, "peak": 0}
+
+        class Counted(float):
+            """A block result that counts how many of its kind are alive."""
+
+            def __new__(cls, value):
+                with lock:
+                    live["now"] += 1
+                    live["peak"] = max(live["peak"], live["now"])
+                return super().__new__(cls, value)
+
+            def __del__(self):
+                with lock:
+                    live["now"] -= 1
+
+        def counted_block(seed, index, size):
+            return (Counted(size), 0.0)
+
+        monkeypatch.setenv(tm.ENV_THREADS, str(threads))
+        monkeypatch.setattr("trimoduli.randgeom._distance_block", counted_block)
+        est = tm.mean_pair_distance(20 * tm.BLOCK_SAMPLES, 0)
+        assert est.mean == 1.0
+        assert live["peak"] <= 2 * threads + 1
+        assert live["now"] == 0
 
 
 class TestHistogram:

@@ -48,6 +48,19 @@ class TestWeightedSetCsv:
         with pytest.raises(tm.GuardError):
             tm.read_weighted_set(bad, "csv")
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1,1,+2, 1_0,x,y,z,w",  # int() reads key (1, 1, 2) with weight 10
+            "1,1,1,3,obtuse,0.1,0.2,0.3",  # the equilateral class is acute, a = b = c = 2/3
+        ],
+        ids=["sign-space-underscore", "wrong-derived-columns"],
+    )
+    def test_rejects_row_the_export_never_writes(self, row):
+        header = "".join(UNIT_SQUARE_CSV.splitlines(keepends=True)[:2])
+        with pytest.raises(tm.GuardError):
+            tm.read_weighted_set(header + row + "\n", "csv")
+
 
 class TestWeightedSetJson:
     def test_round_trip(self, s2):
@@ -86,6 +99,13 @@ class TestWeightedSetJson:
         doc = json.dumps({"schema": "trimoduli.weighted-set.v1", "entries": [entry]})
         with pytest.raises(tm.GuardError):
             tm.read_weighted_set(doc, "json")
+
+    def test_rejects_totals_that_do_not_match_the_entries(self, s2):
+        doc = json.loads(tm.export_weighted_set(s2, "json"))
+        assert json.dumps(doc, sort_keys=True) + "\n" == tm.export_weighted_set(s2, "json")
+        doc["total_weight"], doc["distinct_count"] = 5, 999  # n = 2 has 2148 and 55
+        with pytest.raises(tm.GuardError):
+            tm.read_weighted_set(json.dumps(doc, sort_keys=True) + "\n", "json")
 
     def test_rejects_unknown_format(self, s2):
         with pytest.raises(tm.GuardError):
