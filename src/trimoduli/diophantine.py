@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GuardError, PrecisionError, check_int_range
+from .errors import GuardError, PrecisionError, check_int_range, check_real
 from .lattice import LatticePoint, LatticeTriangle, similarity_key
 from .moduli import ShapeTriple, normalized_sides, shape_of
 
@@ -66,8 +66,8 @@ class PlaneVertex:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"vertex coordinates must be finite, got {self}")
+        for name in ("x", "y"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         if self.y <= 0.0:
             raise ValueError(f"apex must lie strictly above the base, got y={self.y}")
 
@@ -96,12 +96,8 @@ def dirichlet_1d(x: float, eps: float) -> tuple[int, int]:
     residual misses eps by rounding does the walk go on to a later one.
     The last convergent is x itself with a zero residual, so the walk
     always ends."""
-    x = float(x)
-    eps = float(eps)
-    if not math.isfinite(x):
-        raise GuardError(f"x must be finite, got {x!r}")
-    if not (eps >= EPS_FLOOR_1D):
-        raise GuardError(f"eps must be >= {EPS_FLOOR_1D}, got {eps}")
+    x = check_real(x, "x")
+    eps = check_real(eps, "eps", EPS_FLOOR_1D)
     # q runs over the convergent denominators q_0 = 1, q_1, ... of X
     X = Fraction(x)
     q_prev, q, rest = 0, 1, X - math.floor(X)
@@ -135,13 +131,9 @@ def dirichlet_2d(x: float, y: float, eps: float) -> DirichletApproximant:
     and y, filters on the float residuals and verifies the survivors in
     order of m.  Pigeonhole on B x B boxes, B = floor(1/eps) + 1, gives an
     exact witness with m <= B^2; finding none there raises PrecisionError."""
-    x = float(x)
-    y = float(y)
-    eps = float(eps)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise GuardError(f"inputs must be finite, got ({x!r}, {y!r})")
-    if not (eps >= EPS_FLOOR_2D):
-        raise GuardError(f"eps must be >= {EPS_FLOOR_2D}, got {eps}")
+    x = check_real(x, "x")
+    y = check_real(y, "y")
+    eps = check_real(eps, "eps", EPS_FLOOR_2D)
     fx = math.fmod(x, 1.0)  # exact, and |fx| < 1
     fy = math.fmod(y, 1.0)
     stop = (int(1.0 / eps) + 1) ** 2 + 1
@@ -193,9 +185,7 @@ def approximate_shape(target: ShapeTriple, eps: float) -> LatticeTriangle:
     shape.  Returns the first candidate that passes, i.e. the smallest base
     on the ray.  Raises PrecisionError once m reaches _MAX_BASE, the bound
     that keeps every squared side exact in float64."""
-    eps = float(eps)
-    if not (eps >= EPS_FLOOR_SHAPE):
-        raise GuardError(f"eps must be >= {EPS_FLOOR_SHAPE}, got {eps}")
+    eps = check_real(eps, "eps", EPS_FLOOR_SHAPE)
     apex = shape_to_vertex(target)
     goal = np.array(target.triple).reshape(3, 1)
     # the filter runs on unreduced sides and may differ from the verified
@@ -229,9 +219,7 @@ def equilateral_approximant(eps: float) -> LatticeTriangle:
     """Isosceles lattice triangle (0,0), (2m,0), (m,n) with |m*sqrt(3) - n|
     < eps; its shape tends to equilateral as eps -> 0 even though no exact
     equilateral lattice triangle exists."""
-    eps = float(eps)
-    if not (eps >= EPS_FLOOR_SHAPE):
-        raise GuardError(f"eps must be >= {EPS_FLOOR_SHAPE}, got {eps}")
+    eps = check_real(eps, "eps", EPS_FLOOR_SHAPE)
     m, n = dirichlet_1d(math.sqrt(3.0), eps)
     return LatticeTriangle(
         LatticePoint(0, 0), LatticePoint(2 * m, 0), LatticePoint(m, n)
@@ -240,9 +228,7 @@ def equilateral_approximant(eps: float) -> LatticeTriangle:
 
 def weyl_sequence(x: float, count: int) -> np.ndarray:
     """Fractional parts {x}, {2x}, ..., {count*x} as a float64 array."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise GuardError(f"x must be finite, got {x!r}")
+    x = check_real(x, "x")
     count = check_int_range(count, "count", 1, MAX_WEYL_COUNT)
     k = np.arange(1, count + 1, dtype=np.float64)
     k *= x
@@ -252,7 +238,10 @@ def weyl_sequence(x: float, count: int) -> np.ndarray:
 def star_discrepancy(seq) -> float:
     """Star discrepancy of points in [0, 1): for sorted s_(1) <= ... <= s_(n),
     D* = max_i max(i/n - s_(i), s_(i) - (i-1)/n)."""
-    arr = np.asarray(seq, dtype=np.float64)
+    arr = np.asarray(seq)
+    if arr.dtype.kind not in "iuf":
+        raise GuardError(f"sequence must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 1 or arr.size == 0:
         raise GuardError("sequence must be a nonempty 1-D array")
     if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr >= 1.0):

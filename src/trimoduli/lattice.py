@@ -22,10 +22,13 @@ MAX_COORD = 2**31 - 1  # input coordinates must fit in 32 bits
 
 
 def _as_int(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+    """value as an int; TypeError for bools and non-integers."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,17 +25,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import GuardError, check_int_range
+from .errors import GuardError, check_int_range, check_real
 from .lattice import SimilarityKey
 
 SUM_TOL = 1e-12
-
-
-def _check_finite(value: float, what: str) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return v
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +41,7 @@ class ShapeTriple:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            object.__setattr__(self, name, _check_finite(getattr(self, name), name))
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         if not (0.0 < self.a <= self.b <= self.c):
             raise ValueError(f"sides must satisfy 0 < a <= b <= c, got {self}")
         if self.c >= 1.0:
@@ -76,7 +69,7 @@ class LabeledTriple:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            v = _check_finite(getattr(self, name), name)
+            v = check_real(getattr(self, name), name)
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name}={v} outside the open interval (0, 1)")
             object.__setattr__(self, name, v)
@@ -98,7 +91,7 @@ class PlanePoint:
 
     def __post_init__(self):
         for name in ("a", "b"):
-            v = _check_finite(getattr(self, name), name)
+            v = check_real(getattr(self, name), name)
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name}={v} outside (0, 1)")
             object.__setattr__(self, name, v)
@@ -158,7 +151,7 @@ def obtuse_region_measure() -> float:
 def right_locus(b: float) -> float:
     """The a-coordinate of the right-angle locus at height b: shapes with
     c the hypotenuse satisfy a = 2(1 - b)/(2 - b)."""
-    b = _check_finite(b, "b")
+    b = check_real(b, "b")
     if not (0.0 < b < 1.0):
         raise ValueError(f"b={b} outside (0, 1)")
     return 2.0 * (1.0 - b) / (2.0 - b)
@@ -234,16 +227,17 @@ class WeightedShapeSet:
 
     @classmethod
     def from_columns(cls, p, q, r, w) -> "WeightedShapeSet":
-        """Build from parallel int64 arrays sorted lexicographically by
-        (p, q, r).  Re-validates the invariants vectorized; meant for the
-        enumeration fast path."""
+        """Build from parallel integer arrays (dtype kind 'i' or 'u') sorted
+        lexicographically by (p, q, r).  GuardError for any other dtype, so
+        float, bool and str columns are refused rather than truncated;
+        ValueError when the rows break an invariant, which are re-checked
+        vectorized.  Meant for the enumeration fast path."""
+        cols = [np.asarray(col) for col in (p, q, r, w)]
+        for col, name in zip(cols, ("p", "q", "r", "weight")):
+            if col.dtype.kind not in "iu":
+                raise GuardError(f"column {name} must be integers, got dtype {col.dtype}")
         self = object.__new__(cls)
-        self._init_columns(
-            np.ascontiguousarray(p, dtype=np.int64),
-            np.ascontiguousarray(q, dtype=np.int64),
-            np.ascontiguousarray(r, dtype=np.int64),
-            np.ascontiguousarray(w, dtype=np.int64),
-        )
+        self._init_columns(*(np.ascontiguousarray(col, dtype=np.int64) for col in cols))
         return self
 
     def _init_columns(self, p, q, r, w):

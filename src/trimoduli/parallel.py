@@ -9,10 +9,11 @@ split into fixed blocks and block results are reduced in block-index order.
 from __future__ import annotations
 
 import os
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import GuardError
+from .errors import GuardError, check_int_range
 
 ENV_THREADS = "TRIMODULI_THREADS"
 
@@ -21,13 +22,10 @@ def worker_count() -> int:
     raw = os.environ.get(ENV_THREADS)
     if raw is None:
         return os.cpu_count() or 1
-    try:
-        v = int(raw)
-    except ValueError:
-        raise GuardError(f"{ENV_THREADS}={raw!r} is not an integer") from None
-    if v < 1:
-        raise GuardError(f"{ENV_THREADS} must be >= 1, got {v}")
-    return v
+    # only plain decimal digits: int() would also take "2_0", " 3 " and "+3"
+    if not (raw.isascii() and raw.isdigit()):
+        raise GuardError(f"{ENV_THREADS}={raw!r} is not a decimal integer")
+    return check_int_range(int(raw), ENV_THREADS, 1, sys.maxsize)
 
 
 def map_ordered(fn, args_list, workers: int):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import check_int_range
 from .moduli import normalized_sides
 from .parallel import map_ordered, worker_count
-from .rng import BLOCK_SAMPLES, block_generator, block_sizes
+from .rng import BLOCK_SAMPLES, block_generator, block_sizes, check_seed
 
 OBTUSE_MARGIN = 1e-15  # squared-length slack; ties count as not obtuse
 
@@ -137,14 +137,9 @@ def _distance_block(seed: int, index: int, size: int) -> tuple[float, float]:
     return (float(d.sum()), float(np.square(d).sum()))
 
 
-def _check_seed(seed) -> int:
-    """Any signed or unsigned 64-bit integer; stream_key keeps its low 64 bits."""
-    return check_int_range(seed, "seed", -(1 << 63), (1 << 64) - 1)
-
-
 def _check_mc_args(samples, seed) -> tuple[int, int]:
     samples = check_int_range(samples, "samples", MIN_SAMPLES, sys.maxsize)
-    return samples, _check_seed(seed)
+    return samples, check_seed(seed)
 
 
 def _fold_blocks(block, samples: int, seed: int, *extra) -> list:
@@ -206,7 +201,7 @@ def shape_histogram(
     """Histogram of sampled triangle shapes on the ab-plane."""
     samples = check_int_range(samples, "samples", 1, sys.maxsize)
     bins = check_int_range(bins, "bins", 2, MAX_BINS)
-    seed = _check_seed(seed)
+    seed = check_seed(seed)
     grid, obtuse = _fold_blocks(_histogram_block, samples, seed, bins, labeled)
     return Histogram2D(
         counts=grid,

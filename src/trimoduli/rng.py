@@ -14,7 +14,11 @@ depend on how many workers ran the blocks or on the platform.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
+
+from .errors import check_int_range
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -32,11 +36,15 @@ def splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed) -> int:
+    """Any signed or unsigned 64-bit integer; stream_key keeps its low 64 bits."""
+    return check_int_range(seed, "seed", -(1 << 63), MASK64)
+
+
 def stream_key(seed: int, block_index: int) -> int:
     """64-bit Philox key for one (seed, block) pair."""
-    if block_index < 0:
-        raise ValueError(f"block_index must be >= 0, got {block_index}")
-    s = splitmix64(int(seed) & MASK64)
+    s = splitmix64(check_seed(seed) & MASK64)
+    block_index = check_int_range(block_index, "block_index", 0, sys.maxsize)
     b = splitmix64((GOLDEN + block_index) & MASK64)
     return splitmix64(s ^ b)
 

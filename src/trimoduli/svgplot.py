@@ -62,7 +62,10 @@ def plot_shapes(points, path: str) -> None:
     """
     if len(points) > MAX_PLOT_POINTS:
         raise GuardError(f"{len(points)} points exceed MAX_PLOT_POINTS = {MAX_PLOT_POINTS}")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = np.asarray(points)
+    if pts.dtype.kind not in "iuf":
+        raise GuardError(f"points must be real numbers, got dtype {pts.dtype}")
+    pts = pts.astype(np.float64, copy=False).reshape(-1, 2)
     if not len(pts):
         raise GuardError("no points to plot")
     bad = ~np.all(np.isfinite(pts) & (pts >= -0.01) & (pts <= 1.01), axis=1)

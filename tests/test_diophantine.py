@@ -261,6 +261,11 @@ class TestWeyl:
         assert np.allclose(s, expected, atol=1e-15)
         assert len(s) == 4
 
+    @pytest.mark.parametrize("seq", [["0.5", "0.25"], [False, False]], ids=["str", "bool"])
+    def test_star_discrepancy_rejects_values_that_are_not_real(self, seq):
+        with pytest.raises(tm.GuardError):
+            tm.star_discrepancy(seq)
+
     def test_star_discrepancy_single_point(self):
         assert tm.star_discrepancy(np.array([0.5])) == 0.5
         assert tm.star_discrepancy(np.array([0.7])) == pytest.approx(0.7, abs=1e-15)

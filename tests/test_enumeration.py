@@ -240,6 +240,12 @@ class TestParallelPath:
         with pytest.raises(tm.GuardError):
             tm.worker_count()
 
+    @pytest.mark.parametrize("raw", ["2_0", " 3 "], ids=["underscore", "spaces"])
+    def test_worker_count_env_takes_only_decimal_digits(self, monkeypatch, raw):
+        monkeypatch.setenv(tm.ENV_THREADS, raw)
+        with pytest.raises(tm.GuardError):
+            tm.worker_count()
+
     def test_map_ordered_preserves_order(self):
         from trimoduli.parallel import map_ordered
 

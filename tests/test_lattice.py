@@ -38,6 +38,19 @@ class TestPoints:
         with pytest.raises(TypeError):
             tm.LatticePoint(1.5, 0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: tm.LatticePoint(True, False),
+            lambda: tm.SimilarityKey(True, True, 2),
+            lambda: tm.WeightedShapeSet({(True, True, 2): 3}),
+        ],
+        ids=["point", "key", "weighted-set-key"],
+    )
+    def test_rejects_bools(self, make):
+        with pytest.raises(TypeError):
+            make()
+
     def test_rejects_wide_coordinates(self):
         with pytest.raises(ValueError):
             tm.LatticePoint(2**31, 0)

@@ -226,6 +226,19 @@ class TestWeightedShapeSet:
                 *mk((1, 1, 2, 1), (1, 1, 2, 3))
             )  # duplicate key
 
+    @pytest.mark.parametrize(
+        "cols",
+        [
+            ([1.9], [1.2], [2.7], [4.5]),  # used to be read as {(1, 1, 2): 4}
+            ([1], [1], [2], [True]),
+            (["1"], ["1"], ["2"], ["4"]),
+        ],
+        ids=["float", "bool-weight", "str"],
+    )
+    def test_from_columns_rejects_columns_that_are_not_integers(self, cols):
+        with pytest.raises(tm.GuardError):
+            tm.WeightedShapeSet.from_columns(*(np.array(c) for c in cols))
+
     def test_items_sorted(self):
         s = tm.WeightedShapeSet(
             {

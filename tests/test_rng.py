@@ -36,6 +36,18 @@ class TestStreamKey:
         with pytest.raises(ValueError):
             tm.stream_key(1, -1)
 
+    @pytest.mark.parametrize("seed", [1.7, "3", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("stream", [tm.stream_key, tm.block_generator])
+    def test_seed_must_be_an_integer(self, stream, seed):
+        # int() used to read these as seeds 1, 3 and 1
+        with pytest.raises(tm.GuardError):
+            stream(seed, 0)
+
+    @pytest.mark.parametrize("stream", [tm.stream_key, tm.block_generator])
+    def test_block_index_must_be_an_integer(self, stream):
+        with pytest.raises(tm.GuardError):
+            stream(1, 2.5)
+
 
 class TestBlockGenerator:
     def test_same_block_same_draws(self):

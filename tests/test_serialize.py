@@ -112,6 +112,39 @@ class TestWeightedSetJson:
             tm.export_weighted_set(s2, "yaml")
 
 
+def _listing(rows, fmt):
+    """Text in the weighted-set layout listing rows of (p, q, r, weight);
+    the derived columns are placeholders."""
+    if fmt == "csv":
+        header = "".join(UNIT_SQUARE_CSV.splitlines(keepends=True)[:2])
+        return header + "".join(f"{p},{q},{r},{w},acute,0.5,0.5,0.5\n" for p, q, r, w in rows)
+    entries = [dict(zip(("p", "q", "r", "weight"), row)) for row in rows]
+    return json.dumps({"schema": "trimoduli.weighted-set.v1", "entries": entries}) + "\n"
+
+
+class TestWeightedSetReaderErrors:
+    """Every rejection is a GuardError, not the parser's or numpy's error."""
+
+    @pytest.mark.parametrize("text", ["not json", "[" * 100_000], ids=["not-json", "deeply-nested"])
+    def test_text_that_is_not_a_json_object(self, text):
+        with pytest.raises(tm.GuardError):
+            tm.read_weighted_set(text, "json")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, 2, 5, 1), (1, 1, 2, 1)],
+            [(1, 1, 2, 1), (1, 1, 2, 1)],
+            [(2, 2, 2, 1)],
+        ],
+        ids=["swapped", "duplicated", "not-reduced"],
+    )
+    def test_rows_no_census_has(self, rows, fmt):
+        with pytest.raises(tm.GuardError):
+            tm.read_weighted_set(_listing(rows, fmt), fmt)
+
+
 class TestCurveExport:
     def test_csv_structure(self):
         pt = tm.obtuse_point(2)

@@ -68,6 +68,13 @@ class TestShapeScatter:
         with pytest.raises(tm.GuardError):
             tm.plot_shapes([(float("nan"), 0.5)], str(tmp_path / "x.svg"))
 
+    @pytest.mark.parametrize("point", [("0.7", "0.7"), (True, True)], ids=["str", "bool"])
+    def test_rejects_points_that_are_not_real(self, tmp_path, point):
+        out = tmp_path / "x.svg"
+        with pytest.raises(tm.GuardError):
+            tm.plot_shapes([point], str(out))
+        assert not out.exists()
+
     def test_point_cap_checked_before_any_point_is_read(self, tmp_path):
         class Oversized:
             def __len__(self):
