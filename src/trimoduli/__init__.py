@@ -27,33 +27,23 @@ from .lattice import (
 )
 from .moduli import (
     SUM_TOL,
-    LabeledTriple,
     ModuliRegion,
-    PlanePoint,
     ShapeTriple,
     WeightedShapeSet,
-    dirac_ratio,
     measure_moduli,
     measure_teich,
     obtuse_region_measure,
-    region_contains,
     right_locus,
-    s3_orbit,
     shape_of,
-    to_plane,
     uniform_target,
 )
 from .enumeration import (
     MAX_N,
     NAIVE_POINT_GUARD,
-    BoundingBox,
-    TranslationClass,
     collinear_triple_count,
-    distinct_classes,
     enumerate_naive,
     enumerate_weighted,
     total_triangle_count,
-    translation_multiplicity,
 )
 from .diophantine import (
     DirichletApproximant,

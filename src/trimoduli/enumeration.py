@@ -31,77 +31,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import GuardError, check_int_range
-from .lattice import SimilarityKey, pack_key, reduced_triple, unpack_key
+from .lattice import pack_key, reduced_triple, unpack_key
 from .moduli import WeightedShapeSet
 
 # The key count grows like n^4: 1.9 M at n = 31, 33.9 M at n = 64 (a
 # 2.2 GB peak) and about 200 M at n = 100, beyond a machine with 8 GB.
 MAX_N = 64
 NAIVE_POINT_GUARD = 400  # enumerate_naive is cubic in the point count
-
-
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
-    """Width and height of the axis-aligned bounding box of an anchored
-    triangle {0, u, v}."""
-
-    w: int
-    h: int
-
-    def __post_init__(self):
-        if self.w < 0 or self.h < 0:
-            raise ValueError(f"bounding box must be non-negative, got {self}")
-        if self.w == 0 and self.h == 0:
-            raise ValueError("bounding box of a non-degenerate triangle cannot be 0x0")
-
-
-@dataclass(frozen=True, slots=True)
-class TranslationClass:
-    """Triangle modulo translation: ordered edge vectors (u, v) from the
-    anchor vertex."""
-
-    u: tuple[int, int]
-    v: tuple[int, int]
-
-    def __post_init__(self):
-        ux, uy = self.u
-        vx, vy = self.v
-        if ux * vy - uy * vx == 0:
-            raise ValueError(f"edge vectors {self.u}, {self.v} span no area")
-
-    def bounding_box(self) -> BoundingBox:
-        ux, uy = self.u
-        vx, vy = self.v
-        return BoundingBox(
-            max(0, ux, vx) - min(0, ux, vx),
-            max(0, uy, vy) - min(0, uy, vy),
-        )
-
-    def squared_sides(self) -> tuple[int, int, int]:
-        ux, uy = self.u
-        vx, vy = self.v
-        p0 = ux * ux + uy * uy
-        q0 = vx * vx + vy * vy
-        r0 = (vx - ux) ** 2 + (vy - uy) ** 2
-        return tuple(sorted((p0, q0, r0)))
-
-    def key(self) -> SimilarityKey:
-        return SimilarityKey(*reduced_triple(*self.squared_sides()))
-
-
-def translation_multiplicity(box: BoundingBox, n: int) -> int:
-    """Number of translates of a w x h bounding box inside [-n, n]^2."""
-    n = check_int_range(n, "n", 1, MAX_N)
-    span = 2 * n
-    if box.w > span or box.h > span:
-        return 0
-    return (span + 1 - box.w) * (span + 1 - box.h)
 
 
 def _box_rows(h: int):
@@ -230,11 +171,6 @@ def enumerate_naive(box: tuple[int, int, int, int]) -> WeightedShapeSet:
         key = reduced_triple(p0, q0, r0)
         counts[key] = counts.get(key, 0) + 1
     return WeightedShapeSet(counts)
-
-
-def distinct_classes(n: int) -> set[SimilarityKey]:
-    """The set of similarity classes realized in [-n, n]^2."""
-    return set(enumerate_weighted(n).keys())
 
 
 def collinear_triple_count(box: tuple[int, int, int, int]) -> int:

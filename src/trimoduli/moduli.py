@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 
 import numpy as np
 
@@ -59,46 +58,6 @@ class ShapeTriple:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledTriple:
-    """Labeled normalized side lengths: order carries the labeling."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = check_real(getattr(self, name), name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name}={v} outside the open interval (0, 1)")
-            object.__setattr__(self, name, v)
-        if abs(self.a + self.b + self.c - 2.0) > SUM_TOL:
-            raise ValueError(f"sides must sum to 2 within {SUM_TOL}, got {self}")
-
-    def sorted_shape(self) -> ShapeTriple:
-        s = sorted((self.a, self.b, self.c))
-        return ShapeTriple(s[0], s[1], s[2])
-
-
-@dataclass(frozen=True, slots=True)
-class PlanePoint:
-    """ab-plane projection of a labeled shape (largest coordinate dropped
-    by the projection used here: we keep (a, b))."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        for name in ("a", "b"):
-            v = check_real(getattr(self, name), name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name}={v} outside (0, 1)")
-            object.__setattr__(self, name, v)
-        if self.a + self.b <= 1.0:
-            raise ValueError(f"point ({self.a}, {self.b}) outside the region a + b > 1")
-
-
 def normalized_sides(p, q, r):
     """Side lengths sqrt(p), sqrt(q), sqrt(r) of squared sides p, q, r,
     scaled so they sum to 2.  Elementwise over arrays; integer squared
@@ -114,17 +73,6 @@ def shape_of(key: SimilarityKey) -> ShapeTriple:
     """Normalized side lengths of the similarity class: sides sqrt(p) <=
     sqrt(q) <= sqrt(r) scaled so they sum to 2."""
     return ShapeTriple(*normalized_sides(key.p, key.q, key.r))
-
-
-def to_plane(t: LabeledTriple) -> PlanePoint:
-    """Drop the third coordinate; injective on the sum-2 plane."""
-    return PlanePoint(t.a, t.b)
-
-
-def s3_orbit(s: ShapeTriple) -> set[LabeledTriple]:
-    """All relabelings of s.  Cardinality 6 for scalene, 3 for isosceles,
-    1 for equilateral; the set dedupes coincident permutations."""
-    return {LabeledTriple(x, y, z) for x, y, z in permutations(s.triple)}
 
 
 def measure_teich() -> float:
@@ -171,15 +119,6 @@ class ModuliRegion(Enum):
             return key.r > key.p + key.q
         return key.r < key.p + key.q
 
-    def contains_shape(self, s: ShapeTriple) -> bool:
-        if self is ModuliRegion.FULL:
-            return True
-        cc = s.c * s.c
-        ab = s.a * s.a + s.b * s.b
-        if self is ModuliRegion.OBTUSE_ALL:
-            return cc > ab
-        return cc < ab
-
     def key_mask(self, p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Vectorized contains_key over column arrays of reduced triples."""
         if self is ModuliRegion.FULL:
@@ -187,10 +126,6 @@ class ModuliRegion(Enum):
         if self is ModuliRegion.OBTUSE_ALL:
             return r > p + q
         return r < p + q
-
-
-def region_contains(region: ModuliRegion, key: SimilarityKey) -> bool:
-    return region.contains_key(key)
 
 
 def uniform_target(region: ModuliRegion) -> float:
@@ -310,9 +245,6 @@ class WeightedShapeSet:
                 int(self._w[i]),
             )
 
-    def as_dict(self) -> dict[SimilarityKey, int]:
-        return dict(self.items())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedShapeSet):
             return NotImplemented
@@ -326,12 +258,3 @@ class WeightedShapeSet:
 
     def __repr__(self) -> str:
         return f"WeightedShapeSet({len(self)} classes, total weight {self._total})"
-
-
-def dirac_ratio(s: WeightedShapeSet, region: ModuliRegion) -> float:
-    """Weighted fraction of s lying in region."""
-    if s.total_weight <= 0 or len(s) == 0:
-        raise GuardError("dirac_ratio of an empty weighted set")
-    p, q, r, w = s.columns()
-    mask = region.key_mask(p, q, r)
-    return int(w[mask].sum()) / s.total_weight

@@ -66,6 +66,8 @@ def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
     p, q, r and weight (the first four fields of each CSV row after the two
     header lines, or of each JSON entry) build the census through
     from_columns; the one check is that its export equals the text."""
+    if fmt not in ("csv", "json"):
+        raise GuardError(f"unsupported weighted-set format {fmt!r}")
     try:
         if fmt == "csv":
             rows = [[int(v) for v in line.split(",")[:4]] for line in text.splitlines()[2:]]

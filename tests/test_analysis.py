@@ -50,6 +50,30 @@ class TestObtusePoint:
             tm.obtuse_point(2.0)
 
 
+class TestCurvePointFromSet:
+    def test_naive_cross_check(self):
+        s = tm.enumerate_naive((0, 2, 0, 2))
+        obtuse = sum(
+            w for k, w in s.items() if tm.classify_angle(k) is tm.AngleClass.OBTUSE
+        )
+        assert tm.curve_point_from_set(1, s).weighted_fraction == obtuse / s.total_weight
+
+    def test_scale_invariance(self):
+        s1 = tm.WeightedShapeSet(
+            {tm.SimilarityKey(1, 1, 2): 4, tm.SimilarityKey(2, 9, 17): 1}
+        )
+        s2 = tm.WeightedShapeSet(
+            {tm.SimilarityKey(1, 1, 2): 40, tm.SimilarityKey(2, 9, 17): 10}
+        )
+        p1, p2 = tm.curve_point_from_set(2, s1), tm.curve_point_from_set(2, s2)
+        assert p1.weighted_fraction == p2.weighted_fraction == 0.2
+        assert p1.distinct_fraction == p2.distinct_fraction == 0.5
+
+    def test_no_obtuse_weight_is_zero_not_error(self):
+        s = tm.WeightedShapeSet({tm.SimilarityKey(1, 1, 2): 4})
+        assert tm.curve_point_from_set(2, s).weighted_fraction == 0.0
+
+
 class TestDistinctCountsFromVertices:
     """The distinct obtuse fraction (c04's distinct subchecks) is
     obtuse_distinct / distinct_count.  Both counts are rebuilt here from
@@ -181,6 +205,23 @@ class TestCompareToUniform:
         other = np.zeros_like(m)
         other[0, 0] = 1.0  # disjoint support
         assert tm.tv_distance(m, other) == 1.0
+
+    def test_census_tends_to_the_random_triangle_law_not_to_uniform(self, s31):
+        # The paper's non-equidistribution claim: the census stays about
+        # 0.117 in TV from the uniform measure while its distance to the
+        # shape law of three uniform points in a square keeps falling.
+        # The sampled law's own noise, TV(seed 7, seed 8), is 0.0026.
+        hist = tm.shape_histogram(4_000_000, 32, 7)
+        law = hist.counts / hist.total
+        uniform = tm.uniform_bin_masses(32)
+        to_uniform, to_law = [], []
+        for s in [tm.enumerate_weighted(n) for n in (4, 8, 16)] + [s31]:
+            masses = tm.orbit_bin_masses(s, 32)
+            to_uniform.append(tm.tv_distance(masses, uniform))
+            to_law.append(tm.tv_distance(masses, law))
+        assert all(tv > 0.1 for tv in to_uniform)
+        assert all(later < earlier for earlier, later in zip(to_law, to_law[1:]))
+        assert to_law[-1] < 0.01
 
     def test_census_tv_stable_across_binnings(self, s31):
         # the census is genuinely far from uniform; the gap is a property

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import trimoduli as tm
-from trimoduli.cli import main
+from trimoduli.cli import build_parser, main
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestEnumerateCommand:
@@ -262,7 +263,7 @@ class TestSubprocessEntryPoints:
         # so the declaration is checked without installing the package; an
         # installed script on PATH is checked as well.
         tomllib = pytest.importorskip("tomllib")
-        with open(PYPROJECT, "rb") as fh:
+        with open(ROOT / "pyproject.toml", "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert "trimoduli" in scripts
         module, _, attr = scripts["trimoduli"].partition(":")
@@ -281,3 +282,16 @@ class TestSubprocessEntryPoints:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.startswith("usage: trimoduli")
             assert "census" in proc.stdout
+
+
+def test_readme_cli_examples_parse():
+    # the README's command lines are the runnable recipes; parse, do not run
+    lines = [
+        line
+        for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        if line.startswith("trimoduli ")
+    ]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

@@ -16,8 +16,6 @@ _TARGET = tm.ShapeTriple(0.5, 0.7, 0.8)
 # entry point -> (call with one real argument replaced, a value it accepts)
 REAL_ENTRY_POINTS = {
     "ShapeTriple": (lambda v: tm.ShapeTriple(0.5, 0.7, v), 0.8),
-    "LabeledTriple": (lambda v: tm.LabeledTriple(0.7, 0.5, v), 0.8),
-    "PlanePoint": (lambda v: tm.PlanePoint(0.7, v), 0.5),
     "PlaneVertex": (lambda v: tm.PlaneVertex(0.5, v), 0.5),
     "right_locus": (tm.right_locus, 0.5),
     "dirichlet_1d": (lambda v: tm.dirichlet_1d(v, 1e-3), 0.5),

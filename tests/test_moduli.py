@@ -71,44 +71,6 @@ class TestShapeTriple:
         assert s.distance_to(t) == t.distance_to(s) > 0
 
 
-class TestOrbits:
-    def test_scalene_orbit_has_six(self):
-        s = tm.ShapeTriple(0.5, 2.0 / 3.0, 5.0 / 6.0)
-        assert len(tm.s3_orbit(s)) == 6
-
-    def test_isoceles_orbit_has_three(self):
-        s = tm.shape_of(tm.SimilarityKey(1, 1, 2))
-        assert len(tm.s3_orbit(s)) == 3
-
-    def test_equilateral_orbit_has_one(self):
-        third = 2.0 / 3.0
-        assert len(tm.s3_orbit(tm.ShapeTriple(third, third, third))) == 1
-
-    def test_orbit_members_sort_back(self):
-        s = tm.ShapeTriple(0.5, 2.0 / 3.0, 5.0 / 6.0)
-        for labeled in tm.s3_orbit(s):
-            assert labeled.sorted_shape() == s
-
-
-class TestPlane:
-    def test_to_plane(self):
-        s = tm.ShapeTriple(0.5, 2.0 / 3.0, 5.0 / 6.0)
-        pt = tm.to_plane(s)
-        assert (pt.a, pt.b) == (0.5, 2.0 / 3.0)
-
-    def test_plane_point_validation(self):
-        with pytest.raises(ValueError):
-            tm.PlanePoint(0.2, 0.3)  # a + b <= 1
-        with pytest.raises(ValueError):
-            tm.PlanePoint(1.0, 0.5)
-
-    def test_labeled_projections_cover_orbit(self):
-        # every labeled permutation projects validly: a + b = 2 - c > 1
-        s = tm.ShapeTriple(0.5, 2.0 / 3.0, 5.0 / 6.0)
-        planes = {(round(p.a, 12), round(p.b, 12)) for p in map(tm.to_plane, tm.s3_orbit(s))}
-        assert len(planes) == 6
-
-
 class TestMeasures:
     def test_teich_measure_is_half(self):
         # the labeled-plane region is the triangle (1,0), (0,1), (1,1)
@@ -184,12 +146,6 @@ class TestRegions:
             for i in range(len(p)):
                 key = tm.SimilarityKey(int(p[i]), int(q[i]), int(r[i]))
                 assert bool(mask[i]) == region.contains_key(key)
-
-    def test_region_contains_shape(self):
-        s = tm.shape_of(tm.SimilarityKey(2, 9, 17))
-        assert tm.ModuliRegion.OBTUSE_ALL.contains_shape(s)
-        assert not tm.ModuliRegion.ACUTE.contains_shape(s)
-        assert tm.region_contains(tm.ModuliRegion.OBTUSE_ALL, tm.SimilarityKey(2, 9, 17))
 
 
 class TestWeightedShapeSet:
@@ -289,27 +245,3 @@ class TestWeightedShapeSet:
                 key in s
         assert s.weight_of((0, 0, 2**70)) == 0
         assert (-1, 1, 2) not in s
-
-
-class TestDiracRatio:
-    def test_naive_cross_check(self):
-        s = tm.enumerate_naive((0, 2, 0, 2))
-        total = s.total_weight
-        obtuse = sum(
-            w for k, w in s.items() if tm.classify_angle(k) is tm.AngleClass.OBTUSE
-        )
-        assert tm.dirac_ratio(s, tm.ModuliRegion.OBTUSE_ALL) == obtuse / total
-
-    def test_scale_invariance(self):
-        s1 = tm.WeightedShapeSet(
-            {tm.SimilarityKey(1, 1, 2): 4, tm.SimilarityKey(2, 9, 17): 1}
-        )
-        s2 = tm.WeightedShapeSet(
-            {tm.SimilarityKey(1, 1, 2): 40, tm.SimilarityKey(2, 9, 17): 10}
-        )
-        for region in tm.ModuliRegion:
-            assert tm.dirac_ratio(s1, region) == tm.dirac_ratio(s2, region)
-
-    def test_empty_region_weight_is_zero_not_error(self):
-        s = tm.WeightedShapeSet({tm.SimilarityKey(1, 1, 2): 4})
-        assert tm.dirac_ratio(s, tm.ModuliRegion.OBTUSE_ALL) == 0.0

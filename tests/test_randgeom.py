@@ -79,6 +79,24 @@ class TestObtuseEstimator:
         monkeypatch.setenv(tm.ENV_THREADS, "2")
         assert tm.obtuse_probability(200_000, 5) == base
 
+    def test_huge_thread_count_starts_no_more_threads_than_blocks(self, monkeypatch):
+        # 1000 samples are one block, so at most one pool thread can start
+        monkeypatch.setenv(tm.ENV_THREADS, "1")
+        base = tm.obtuse_probability(1000, 0)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        monkeypatch.setenv(tm.ENV_THREADS, "1000000")
+        before = threading.active_count()
+        assert tm.obtuse_probability(1000, 0) == base
+        assert len(started) <= 1
+        assert threading.active_count() <= before
+
     def test_close_to_reference(self):
         est = tm.obtuse_probability(100_000, 42)
         assert abs(est.mean - tm.langford_obtuse_probability()) < 6 * est.std_error

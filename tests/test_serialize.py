@@ -144,6 +144,10 @@ class TestWeightedSetReaderErrors:
         with pytest.raises(tm.GuardError):
             tm.read_weighted_set(_listing(rows, fmt), fmt)
 
+    def test_unknown_format_is_named_before_parsing(self):
+        with pytest.raises(tm.GuardError, match="^unsupported weighted-set format 'xml'$"):
+            tm.read_weighted_set(UNIT_SQUARE_CSV, "xml")
+
 
 class TestCurveExport:
     def test_csv_structure(self):
