@@ -10,6 +10,12 @@ The headline comparison puts three measures side by side per grid size n:
 The census tracking the random-triangle value rather than the uniform one
 is the non-equidistribution phenomenon; compare_to_uniform quantifies it
 in total variation over a bin grid.
+
+obtuse_curve, obtuse_point and equidist_report build no census: their
+counts for every n up to n_max come from one pass over the box heights,
+enumeration.obtuse_counts, whose weights are closed forms in per-height
+orbit moments and whose distinct counts come from each class's first
+box height.  Every point equals curve_point_from_set of its own census.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import MAX_N, enumerate_weighted
+from .enumeration import MAX_N, obtuse_counts
 from .errors import GuardError, check_int_range
 from .moduli import ModuliRegion, WeightedShapeSet, normalized_sides, uniform_target
 from .randgeom import MAX_BINS, langford_obtuse_probability
@@ -86,15 +92,28 @@ def curve_point_from_set(n: int, s: WeightedShapeSet) -> ObtuseCurvePoint:
     )
 
 
-def obtuse_point(n: int) -> ObtuseCurvePoint:
-    n = check_int_range(n, "n", 2, MAX_ANALYSIS_N)
-    return curve_point_from_set(n, enumerate_weighted(n))
-
-
 def obtuse_curve(n_max: int) -> list[ObtuseCurvePoint]:
-    """Obtuse fractions for every n = 2 .. n_max."""
+    """Obtuse fractions for every n = 2 .. n_max, from one pass over the
+    box heights (enumeration.obtuse_counts)."""
     n_max = check_int_range(n_max, "n_max", 2, MAX_ANALYSIS_N)
-    return [obtuse_point(n) for n in range(2, n_max + 1)]
+    return [
+        ObtuseCurvePoint(
+            n=n,
+            weighted_fraction=ow / tw,
+            distinct_fraction=od / dc,
+            total_weight=tw,
+            distinct_count=dc,
+            obtuse_weight=ow,
+            obtuse_distinct=od,
+        )
+        for n, (tw, ow, dc, od) in enumerate(obtuse_counts(n_max), start=1)
+        if n >= 2
+    ]
+
+
+def obtuse_point(n: int) -> ObtuseCurvePoint:
+    """The last point of the curve to n."""
+    return obtuse_curve(check_int_range(n, "n", 2, MAX_ANALYSIS_N))[-1]
 
 
 def report_from_point(point: ObtuseCurvePoint) -> EquidistReport:

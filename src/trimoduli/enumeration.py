@@ -20,11 +20,21 @@ when w < h (t = 1 when w = h):
 
 So the orbit weights of a box sum to the number of triangles whose exact
 box is w x h, T(w, h) = 4(w-1)(h-1) + 2(w-1) + 2(h-1) + 4
-+ 2((w+1)(h+1) - 3 - gcd(w, h)).  The rows of one box height h are
-reduced to sorted packed keys, and the h-tables are merged.  As a
-post-condition the total weight must equal C(N^2, 3) minus the collinear
-triples of the grid, or the run fails loudly.  Squared sides are at most
-w^2 + h^2 <= 8 n^2, so keys pack into one int64 word.
++ 2((w+1)(h+1) - 3 - gcd(w, h)).  One per-height kernel, _box_keys,
+gives the rows of box height h, their sorted squared sides and their
+gcd-reduced packed keys.  The census weights those keys by translate
+count and merges the h-tables.  As a post-condition the total weight
+must equal C(N^2, 3) minus the collinear triples of the grid, or the run
+fails loudly.  Squared sides are at most w^2 + h^2 <= 8 n^2, so keys pack
+into one int64 word.
+
+The obtuse curve needs no census per n, because the rows of height h
+belong to every grid with 2n >= h.  obtuse_counts makes one pass over
+h = 1 .. 2 n_max with the same kernel and keeps two things per height:
+the orbit moments S0 = sum orbit and S1 = sum orbit w, from which every
+n's total and obtuse weights follow in closed form, and the number of
+classes (all and obtuse) whose first, smallest, height is h, whose
+running sums are every n's distinct counts.
 """
 
 from __future__ import annotations
@@ -37,12 +47,15 @@ import numpy as np
 
 from .errors import GuardError, check_int_range
 from .lattice import pack_key, reduced_triple, unpack_key
-from .moduli import WeightedShapeSet
+from .moduli import ModuliRegion, WeightedShapeSet
 
 # The key count grows like n^4: 1.9 M at n = 31, 33.9 M at n = 64 (a
-# 2.2 GB peak) and about 200 M at n = 100, beyond a machine with 8 GB.
+# 1.9 GB peak) and about 200 M at n = 100, beyond a machine with 8 GB.
 MAX_N = 64
 NAIVE_POINT_GUARD = 400  # enumerate_naive is cubic in the point count
+# heights whose keys join the seen keys at once in obtuse_counts: each
+# join copies the seen array, so batching does it 16 times at n = 64
+FIRST_H_BATCH = 8
 
 
 def _box_rows(h: int):
@@ -83,18 +96,25 @@ def _merge(tables):
     return keys[starts], np.add.reduceat(weights, starts)
 
 
-def _box_table(n: int, h: int):
-    """Packed keys and census weights of the boxes of height h in [-n, n]^2."""
+def _box_keys(h: int, shift: int):
+    """The rows of _box_rows(h): their widths and orbit weights, their
+    sorted unreduced squared sides (lo, mid, hi) and their gcd-reduced
+    keys packed with shift bits per entry."""
     width, ay, bx, by, orbit = _box_rows(h)
-    side = 2 * n + 1
     p0 = width * width + ay * ay
     q0 = bx * bx + by * by
     r0 = (bx - width) ** 2 + (by - ay) ** 2
-    lo3 = np.minimum(np.minimum(p0, q0), r0)
-    hi3 = np.maximum(np.maximum(p0, q0), r0)
-    mid = p0 + q0 + r0 - lo3 - hi3
-    g = np.gcd(np.gcd(lo3, mid), hi3)
-    packed = pack_key(lo3 // g, mid // g, hi3 // g, _pack_shift(n))
+    lo = np.minimum(np.minimum(p0, q0), r0)
+    hi = np.maximum(np.maximum(p0, q0), r0)
+    mid = p0 + q0 + r0 - lo - hi
+    g = np.gcd(np.gcd(lo, mid), hi)
+    return width, orbit, (lo, mid, hi), pack_key(lo // g, mid // g, hi // g, shift)
+
+
+def _box_table(n: int, h: int):
+    """Packed keys and census weights of the boxes of height h in [-n, n]^2."""
+    width, orbit, _, packed = _box_keys(h, _pack_shift(n))
+    side = 2 * n + 1
     return _merge([(packed, orbit * ((side - width) * (side - h)))])
 
 
@@ -128,6 +148,70 @@ def enumerate_weighted(n: int) -> WeightedShapeSet:
     p, q, r = unpack_key(keys, _pack_shift(n))
     del keys  # from_columns holds the peak; it needs only the columns
     return WeightedShapeSet.from_columns(p, q, r, weights)
+
+
+def obtuse_counts(n_max: int) -> list[tuple[int, int, int, int]]:
+    """(total_weight, obtuse_weight, distinct_count, obtuse_distinct) of
+    the census of every n = 1 .. n_max, from one pass over the box heights
+    h = 1 .. 2 n_max.
+
+    Weights need no keys: a row of box w x h has weight orbit (N - w)(N - h)
+    for every n with h <= 2n, so with S0 = sum orbit and S1 = sum orbit w
+    over the rows of height h, the weight at n is the sum over h <= 2n of
+    (N - h)(N S0 - S1), over all rows and over the obtuse ones.  A class is
+    in the n-grid when its first height, the smallest h of its rows, is at
+    most 2n; new classes are counted by first height, a batch of heights
+    at a time, against the sorted keys seen so far.  Each n's total must
+    equal the closed-form triangle count, or the run fails loudly."""
+    n_max = check_int_range(n_max, "n_max", 1, MAX_N)
+    heights = 2 * n_max
+    shift = _pack_shift(n_max)
+    moments = []  # (S0, S1, obtuse S0, obtuse S1) for h = 1, 2, ...
+    firsts = np.zeros((2, heights + 1), dtype=np.int64)  # new classes, all and obtuse
+    # a sentinel above every packed key keeps searchsorted inside the array
+    seen = np.array([np.iinfo(np.int64).max])
+    for start in range(1, heights + 1, FIRST_H_BATCH):
+        keys, first_h = [], []
+        for h in range(start, min(start + FIRST_H_BATCH, heights + 1)):
+            width, orbit, sides, packed = _box_keys(h, shift)
+            obtuse = ModuliRegion.OBTUSE_ALL.key_mask(*sides)
+            del sides
+            moment = orbit * width
+            moments.append(
+                tuple(int(x.sum()) for x in (orbit, moment, orbit[obtuse], moment[obtuse]))
+            )
+            packed.sort()
+            packed = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
+            keys.append(packed)
+            first_h.append(np.full(len(packed), h))
+        # stable, so the first row of each key has its smallest h
+        keys = np.concatenate(keys)
+        order = np.argsort(keys, kind="stable")
+        keys, first_h = keys[order], np.concatenate(first_h)[order]
+        del order
+        head = np.concatenate(([True], keys[1:] != keys[:-1]))
+        keys, first_h = keys[head], first_h[head]
+        at = np.searchsorted(seen, keys)
+        new = seen[at] != keys
+        keys, first_h, at = keys[new], first_h[new], at[new]
+        obtuse = ModuliRegion.OBTUSE_ALL.key_mask(*unpack_key(keys, shift))
+        firsts[0] += np.bincount(first_h, minlength=heights + 1)
+        firsts[1] += np.bincount(first_h[obtuse], minlength=heights + 1)
+        seen = np.insert(seen, at, keys)
+    distinct = np.cumsum(firsts, axis=1).tolist()
+    counts = []
+    for n in range(1, n_max + 1):
+        side = 2 * n + 1
+        per_h = list(zip(range(1, 2 * n + 1), moments))
+        total = sum((side - h) * (side * s0 - s1) for h, (s0, s1, _, _) in per_h)
+        obtuse_weight = sum((side - h) * (side * s0 - s1) for h, (_, _, s0, s1) in per_h)
+        expected = _triangle_total(n)
+        if total != expected:
+            raise RuntimeError(
+                f"curve total {total} at n={n} != closed-form triangle count {expected}"
+            )
+        counts.append((total, obtuse_weight, distinct[0][2 * n], distinct[1][2 * n]))
+    return counts
 
 
 def _box_points(box) -> list[tuple[int, int]]:

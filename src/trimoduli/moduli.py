@@ -28,6 +28,9 @@ from .errors import GuardError, check_int_range, check_real
 from .lattice import SimilarityKey
 
 SUM_TOL = 1e-12
+# rows per slice of the WeightedShapeSet invariant checks, so their
+# temporaries stay small at any column length
+CHECK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,18 +181,22 @@ class WeightedShapeSet:
     def _init_columns(self, p, q, r, w):
         if not (len(p) == len(q) == len(r) == len(w)):
             raise ValueError("column lengths differ")
-        if len(p):
-            if np.any(w <= 0):
+        for start in range(0, len(p), CHECK_ROWS):
+            # each slice's checks also take the row before it, so the order
+            # check covers the pair that straddles the slice boundary
+            rows = slice(max(start - 1, 0), start + CHECK_ROWS)
+            ps, qs, rs = p[rows], q[rows], r[rows]
+            if np.any(w[rows] <= 0):
                 raise ValueError("weights must be positive")
-            if np.any((p < 1) | (p > q) | (q > r)):
+            if np.any((ps < 1) | (ps > qs) | (qs > rs)):
                 raise ValueError("triples must be sorted with p >= 1")
-            d = r - p - q
-            if np.any((d >= 0) & (d * d >= 4 * p * q)):
+            d = rs - ps - qs
+            if np.any((d >= 0) & (d * d >= 4 * ps * qs)):
                 raise ValueError("some triple fails the strict triangle test")
-            if np.any(np.gcd(np.gcd(p, q), r) != 1):
+            if np.any(np.gcd(np.gcd(ps, qs), rs) != 1):
                 raise ValueError("some triple is not gcd-reduced")
             # each row must strictly precede the next in (p, q, r) order
-            p0, q0, r0, p1, q1, r1 = p[:-1], q[:-1], r[:-1], p[1:], q[1:], r[1:]
+            p0, q0, r0, p1, q1, r1 = ps[:-1], qs[:-1], rs[:-1], ps[1:], qs[1:], rs[1:]
             if not np.all((p0 < p1) | ((p0 == p1) & ((q0 < q1) | ((q0 == q1) & (r0 < r1))))):
                 raise ValueError("columns must be sorted by (p, q, r) without duplicate keys")
         for arr, name in ((p, "_p"), (q, "_q"), (r, "_r"), (w, "_w")):

@@ -12,3 +12,9 @@ def s31():
 @pytest.fixture(scope="session")
 def s2():
     return tm.enumerate_weighted(2)
+
+
+@pytest.fixture(scope="session")
+def curve31():
+    """The obtuse curve to n = 31, from one scan of about 1 s."""
+    return tm.obtuse_curve(31)

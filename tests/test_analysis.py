@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import trimoduli as tm
+from trimoduli import enumeration
 
 
 class TestObtusePoint:
@@ -48,6 +49,41 @@ class TestObtusePoint:
             tm.obtuse_point(tm.MAX_ANALYSIS_N + 1)
         with pytest.raises(tm.GuardError):
             tm.obtuse_point(2.0)
+
+
+class TestOneScanCurve:
+    """obtuse_curve takes every point from one scan of the box heights;
+    each must equal the point of its own census."""
+
+    @pytest.fixture(scope="class")
+    def curve20(self):
+        return tm.obtuse_curve(20)
+
+    def test_every_point_equals_its_census(self, curve20):
+        assert [pt.n for pt in curve20] == list(range(2, 21))
+        for pt in curve20:
+            assert pt == tm.curve_point_from_set(pt.n, tm.enumerate_weighted(pt.n))
+
+    def test_last_point_at_31_equals_the_census(self, curve31, s31):
+        assert curve31[-1] == tm.curve_point_from_set(31, s31)
+
+    @pytest.mark.parametrize("k", [2, 5, 13])
+    def test_points_do_not_depend_on_the_pack_shift(self, curve20, k):
+        # keys are packed with _pack_shift(n_max), so k and 20 pack differently
+        assert tm.obtuse_curve(k) == curve20[: k - 1]
+
+    def test_total_mismatch_fails_loudly(self, monkeypatch):
+        closed_form = enumeration._triangle_total
+        monkeypatch.setattr(enumeration, "_triangle_total", lambda n: closed_form(n) - (n == 2))
+        with pytest.raises(RuntimeError, match="2148 at n=2.*2147"):
+            tm.obtuse_curve(3)
+
+    def test_weighted_fraction_rises_to_below_langford(self, curve31):
+        # exact census data at scale: the weighted obtuse fraction climbs
+        # towards 97/150 + pi/40 from below
+        fractions = [pt.weighted_fraction for pt in curve31]
+        assert all(a < b for a, b in zip(fractions, fractions[1:]))
+        assert fractions[-1] < tm.langford_obtuse_probability()
 
 
 class TestCurvePointFromSet:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimoduli as tm
-from trimoduli.moduli import normalized_sides
+from trimoduli.moduli import CHECK_ROWS, normalized_sides
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
@@ -181,6 +181,28 @@ class TestWeightedShapeSet:
             tm.WeightedShapeSet.from_columns(
                 *mk((1, 1, 2, 1), (1, 1, 2, 3))
             )  # duplicate key
+
+    # rows (2, 2k + 3, 2k + 3) are valid and strictly increasing; the
+    # checks run in slices of CHECK_ROWS rows, and a fault on either side
+    # of the first slice boundary must still be found
+    @staticmethod
+    def _odd_rows():
+        odd = 2 * np.arange(CHECK_ROWS + 8, dtype=np.int64) + 3
+        return np.full(len(odd), 2), odd, np.ones(len(odd), dtype=np.int64)
+
+    @pytest.mark.parametrize("row", [CHECK_ROWS - 1, CHECK_ROWS])
+    def test_from_columns_finds_a_non_reduced_key_at_the_slice_boundary(self, row):
+        p, q, w = self._odd_rows()
+        assert len(tm.WeightedShapeSet.from_columns(p, q.copy(), q.copy(), w)) == len(q)
+        q[row] += 1  # (2, 2k + 4, 2k + 4) stays in order but has gcd 2
+        with pytest.raises(ValueError, match="not gcd-reduced"):
+            tm.WeightedShapeSet.from_columns(p, q, q, w)
+
+    def test_from_columns_finds_a_swapped_pair_across_the_slice_boundary(self):
+        p, q, w = self._odd_rows()
+        q[[CHECK_ROWS - 1, CHECK_ROWS]] = q[[CHECK_ROWS, CHECK_ROWS - 1]]
+        with pytest.raises(ValueError, match="must be sorted by"):
+            tm.WeightedShapeSet.from_columns(p, q, q, w)
 
     @pytest.mark.parametrize(
         "cols",
