@@ -2,9 +2,8 @@
 
 Every command takes one path: argparse parses the flags, the subparser's
 ``produce`` entry (set with ``set_defaults``) computes the result and
-returns its export from serialize.py, and main writes that text to --out,
-or to stdout for '-'.  The two plot commands write their SVG themselves
-and return None.
+returns its text (an export from serialize.py or an SVG from svgplot.py),
+and main writes that text to --out, or to stdout for '-'.
 
 Exit codes: 0 success, 2 usage errors (argparse), 3 violated guards
 (GuardError) or other invalid values (ValueError), 4 failed numeric
@@ -77,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="census fraction vs both references")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out", default="-")
     p.set_defaults(produce=lambda a: export_report(equidist_report(a.n)))
 
@@ -121,12 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot-shapes", help="SVG scatter of census shapes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True, help="SVG output path")
-    p.set_defaults(produce=lambda a: plot_shapes(census_points(enumerate_weighted(a.n)), a.out))
+    p.set_defaults(produce=lambda a: plot_shapes(census_points(enumerate_weighted(a.n))))
 
     p = sub.add_parser("plot-curve", help="SVG of the obtuse-fraction curve")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--out", required=True, help="SVG output path")
-    p.set_defaults(produce=lambda a: plot_curve(obtuse_curve(a.n_max), a.out))
+    p.set_defaults(produce=lambda a: plot_curve(obtuse_curve(a.n_max)))
 
     return parser
 
@@ -135,11 +133,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = args.produce(args)
-        if text is not None:
-            if args.out == "-":
-                sys.stdout.write(text)
-            else:
-                write_text(args.out, text)
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            write_text(args.out, text)
         return 0
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ schema tag.  Identical inputs produce identical bytes on any platform.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .analysis import EquidistReport, ObtuseCurvePoint
 from .errors import GuardError
 from .lattice import LatticeTriangle, similarity_key
-from .moduli import ShapeTriple, WeightedShapeSet, normalized_sides, shape_of
+from .moduli import CHECK_ROWS, ShapeTriple, WeightedShapeSet, normalized_sides, shape_of
 from .randgeom import Histogram2D, McEstimate
 
 WSET_SCHEMA = "trimoduli.weighted-set.v1"
@@ -26,7 +27,23 @@ ESTIMATE_SCHEMA = "trimoduli.mc-estimate.v1"
 HISTOGRAM_SCHEMA = "trimoduli.histogram.v1"
 APPROX_SCHEMA = "trimoduli.approximant.v1"
 
-_WSET_COLUMNS = ("p", "q", "r", "weight", "angle_class", "a", "b", "c")
+# Each weighted-set format: head, row (an f-string, faster than str.format), row separator,
+# tail and row pattern.  A CSV row leads with its newline, so an empty census ends at the
+# header; JSON keys are in sort_keys order, as in json.dumps.
+_WSET_FORMATS = {
+    "csv": (
+        "# schema: {schema}\np,q,r,weight,angle_class,a,b,c",
+        lambda p, q, r, w, ang, a, b, c: f"\n{p},{q},{r},{w},{ang},{a!r},{b!r},{c!r}", "", "\n",
+        re.compile(r"^(\d+),(\d+),(\d+),(\d+),", re.M),
+    ),
+    "json": (
+        '{{"distinct_count": {n}, "entries": [',
+        lambda p, q, r, w, ang, a, b, c: f'{{"a": {a!r}, "angle_class": "{ang}", "b": {b!r}, '
+        f'"c": {c!r}, "p": {p}, "q": {q}, "r": {r}, "weight": {w}}}', ", ",
+        '], "schema": "{schema}", "total_weight": {t}}}\n',
+        re.compile(r'"p": (\d+), "q": (\d+), "r": (\d+), "weight": (\d+)'),
+    ),
+}
 
 
 def _json_doc(schema: str, **body) -> str:
@@ -40,42 +57,33 @@ def _angle_names(p, q, r) -> np.ndarray:
 
 
 def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:
-    """Serialize a weighted census, rows sorted by (p, q, r)."""
-    p, q, r, w = s.columns()
-    a, b, c = normalized_sides(p, q, r)
-    # tolist() hands back Python scalars, so !r prints bare shortest
-    # round-trip floats rather than numpy scalar wrappers
-    cols = [col.tolist() for col in (p, q, r, w, _angle_names(p, q, r), a, b, c)]
-    if fmt == "csv":
-        lines = [f"# schema: {WSET_SCHEMA}", ",".join(_WSET_COLUMNS)]
-        for pi, qi, ri, wi, ang, aa, bb, cc in zip(*cols):
-            lines.append(f"{pi},{qi},{ri},{wi},{ang},{aa!r},{bb!r},{cc!r}")
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        entries = [dict(zip(_WSET_COLUMNS, row)) for row in zip(*cols)]
-        return _json_doc(
-            WSET_SCHEMA, total_weight=s.total_weight, distinct_count=len(s), entries=entries
-        )
-    raise GuardError(f"unsupported weighted-set format {fmt!r}")
+    """Serialize a weighted census, rows sorted by (p, q, r) and formatted
+    CHECK_ROWS at a time."""
+    if fmt not in _WSET_FORMATS:
+        raise GuardError(f"unsupported weighted-set format {fmt!r}")
+    head, row, sep, tail, _ = _WSET_FORMATS[fmt]
+
+    def chunks(p, q, r, w):
+        for i in range(0, len(w), CHECK_ROWS):
+            ps, qs, rs, ws = (col[i : i + CHECK_ROWS] for col in (p, q, r, w))
+            # tolist() gives Python scalars, so !r prints bare shortest round-trip floats
+            cols = (ps, qs, rs, ws, _angle_names(ps, qs, rs), *normalized_sides(ps, qs, rs))
+            yield sep.join(map(row, *(col.tolist() for col in cols)))
+
+    frame = {"schema": WSET_SCHEMA, "n": len(s), "t": s.total_weight}
+    return "".join((head.format(**frame), sep.join(chunks(*s.columns())), tail.format(**frame)))
 
 
 def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
-    """Parse a weighted census produced by export_weighted_set; GuardError
-    when the text is not such an export, byte for byte.
-
-    p, q, r and weight (the first four fields of each CSV row after the two
-    header lines, or of each JSON entry) build the census through
-    from_columns; the one check is that its export equals the text."""
-    if fmt not in ("csv", "json"):
+    """Parse a weighted census produced by export_weighted_set: the format's
+    row pattern finds p, q, r and weight for from_columns.  GuardError unless
+    the text is, byte for byte, the export of that census."""
+    if fmt not in _WSET_FORMATS:
         raise GuardError(f"unsupported weighted-set format {fmt!r}")
     try:
-        if fmt == "csv":
-            rows = [[int(v) for v in line.split(",")[:4]] for line in text.splitlines()[2:]]
-        else:
-            rows = [[e["p"], e["q"], e["r"], e["weight"]] for e in json.loads(text)["entries"]]
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
-        s = WeightedShapeSet.from_columns(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
-    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
+        rows = np.array(_WSET_FORMATS[fmt][4].findall(text), dtype=np.int64).reshape(-1, 4)
+        s = WeightedShapeSet.from_columns(*rows.T)
+    except (ValueError, OverflowError) as exc:
         raise GuardError(f"text is not a {fmt} weighted-set export: {exc}") from None
     if export_weighted_set(s, fmt) != text:
         raise GuardError(f"text is not the {fmt} export of the census it lists")

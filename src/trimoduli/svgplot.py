@@ -15,7 +15,6 @@ from .analysis import ObtuseCurvePoint, orbit_projections
 from .errors import GuardError
 from .moduli import ModuliRegion, WeightedShapeSet, uniform_target
 from .randgeom import langford_obtuse_probability
-from .serialize import write_text
 
 
 def _fmt(v: float) -> str:
@@ -52,8 +51,8 @@ def census_points(census: WeightedShapeSet) -> np.ndarray:
     return np.column_stack((a, b))
 
 
-def plot_shapes(points, path: str) -> None:
-    """Scatter of ab-plane shape points over the labeled region.
+def plot_shapes(points) -> str:
+    """SVG scatter of ab-plane shape points over the labeled region.
 
     points is a sequence of (a, b) pairs inside {a < 1, b < 1, a + b > 1},
     at most MAX_PLOT_POINTS of them.  The region boundary, the three
@@ -111,12 +110,12 @@ def plot_shapes(points, path: str) -> None:
             f'<text x="{px(a)}" y="{_fmt(float(py(b)) + dy)}" font-size="12" '
             f'fill="#333" text-anchor="middle">{label}</text>'
         )
-    write_text(path, _svg(size, size, body))
+    return _svg(size, size, body)
 
 
-def plot_curve(points: list[ObtuseCurvePoint], path: str) -> None:
-    """Obtuse fraction per grid size, weighted and distinct, with the two
-    closed-form reference levels drawn as dashed lines."""
+def plot_curve(points: list[ObtuseCurvePoint]) -> str:
+    """SVG of the obtuse fraction per grid size, weighted and distinct,
+    with the two closed-form reference levels drawn as dashed lines."""
     if not points:
         raise GuardError("no curve points to plot")
     width, height = 720, 480
@@ -210,4 +209,4 @@ def plot_curve(points: list[ObtuseCurvePoint], path: str) -> None:
         f'<text x="{left + 10}" y="{top + 34}" font-size="12" fill="#ff7f0e">'
         f"distinct obtuse fraction</text>"
     )
-    write_text(path, _svg(width, height, body))
+    return _svg(width, height, body)

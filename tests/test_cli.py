@@ -96,6 +96,12 @@ class TestExitCodes:
             main(["plot-curve", "--n-max", "3"])
         assert exc.value.code == 2
 
+    def test_report_has_no_format_option(self):
+        # the report is JSON only, so it takes no --format
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--n", "2", "--format", "json"])
+        assert exc.value.code == 2
+
 
 class TestApproxCommand:
     def test_witness_meets_eps(self, capsys):

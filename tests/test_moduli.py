@@ -165,6 +165,21 @@ class TestWeightedShapeSet:
         t = tm.WeightedShapeSet.from_columns(p, q, r, w)
         assert s == t
 
+    @pytest.mark.parametrize(
+        ("dtype", "kept"), [(np.int64, True), (np.int32, False)], ids=["int64", "int32"]
+    )
+    def test_from_columns_takes_int64_columns_and_copies_others(self, dtype, kept):
+        # a contiguous int64 column is kept without a copy, so it turns
+        # read-only for the caller too; any other column is copied
+        cols = [np.array(col, dtype=dtype) for col in ([1, 2], [1, 9], [2, 17], [4, 1])]
+        s = tm.WeightedShapeSet.from_columns(*cols)
+        for col, own in zip(cols, s.columns()):
+            assert np.shares_memory(col, own) is kept
+            assert col.flags.writeable is not kept
+        if not kept:
+            cols[0][0] = 5  # the caller's copy stays writeable and the set unchanged
+            assert s.weight_of((1, 1, 2)) == 4
+
     def test_from_columns_rejects_bad_rows(self):
         mk = lambda *rows: tuple(
             np.array(col, dtype=np.int64) for col in zip(*rows)

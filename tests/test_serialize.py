@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import trimoduli as tm
+from trimoduli.moduli import normalized_sides
 
 UNIT_SQUARE_CSV = (
     "# schema: trimoduli.weighted-set.v1\n"
@@ -110,6 +114,69 @@ class TestWeightedSetJson:
     def test_rejects_unknown_format(self, s2):
         with pytest.raises(tm.GuardError):
             tm.export_weighted_set(s2, "yaml")
+
+
+def _json_by_dicts(s):
+    """The JSON export built the slow way: one dict per entry, printed by
+    json.dumps with sorted keys.  The oracle of the row template."""
+    p, q, r, w = s.columns()
+    angle = np.where(r > p + q, "obtuse", np.where(r == p + q, "right", "acute"))
+    cols = [col.tolist() for col in (p, q, r, w, angle, *normalized_sides(p, q, r))]
+    names = ("p", "q", "r", "weight", "angle_class", "a", "b", "c")
+    doc = {
+        "schema": "trimoduli.weighted-set.v1",
+        "total_weight": s.total_weight,
+        "distinct_count": len(s),
+        "entries": [dict(zip(names, row)) for row in zip(*cols)],
+    }
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+class TestWeightedSetRowTemplate:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5], ids=lambda n: f"n{n}" if n else "empty")
+    def test_json_equals_json_dumps_of_one_dict_per_entry(self, n):
+        s = tm.enumerate_weighted(n) if n else tm.WeightedShapeSet({})
+        assert tm.export_weighted_set(s, "json") == _json_by_dicts(s)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chunk_size_does_not_change_bytes(self, fmt, monkeypatch):
+        s = tm.enumerate_weighted(4)
+        assert len(s) == 667  # 95 chunks of 7 rows and one of 2
+        text = tm.export_weighted_set(s, fmt)
+        monkeypatch.setattr("trimoduli.serialize.CHECK_ROWS", 7)
+        assert tm.export_weighted_set(s, fmt) == text
+        assert tm.read_weighted_set(text, fmt) == s
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_formatting_stays_chunked(self, fmt, monkeypatch):
+        # rows formatted a chunk at a time and joined once hold about the
+        # text twice at the peak: the chunks and the joined text
+        s = tm.enumerate_weighted(12)
+        monkeypatch.setattr("trimoduli.serialize.CHECK_ROWS", 4096)
+        tracemalloc.start()
+        try:
+            text = tm.export_weighted_set(s, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reader_rejects_a_field_above_int64(self, fmt):
+        text = tm.export_weighted_set(tm.enumerate_naive((0, 1, 0, 1)), fmt)
+        big = str(1 << 63)
+        bad = text.replace("1,1,2,4,", f"1,1,2,{big},").replace('"weight": 4', f'"weight": {big}')
+        assert bad != text
+        with pytest.raises(tm.GuardError):
+            tm.read_weighted_set(bad, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reader_rejects_one_float_digit_changed(self, fmt, s2):
+        text = tm.export_weighted_set(s2, fmt)
+        end = re.search(r"\d\.\d+", text).end()  # the first float's last digit
+        bad = text[: end - 1] + str((int(text[end - 1]) + 1) % 10) + text[end:]
+        with pytest.raises(tm.GuardError):
+            tm.read_weighted_set(bad, fmt)
 
 
 def _listing(rows, fmt):

@@ -14,7 +14,7 @@ def _classes(root, cls):
 
 
 class TestShapeScatter:
-    def test_dot_count_matches_orbit_projections(self, tmp_path):
+    def test_dot_count_matches_orbit_projections(self):
         s = tm.WeightedShapeSet(
             {
                 tm.SimilarityKey(9, 16, 25): 1,  # scalene: 6 dots
@@ -23,12 +23,10 @@ class TestShapeScatter:
             }
         )
         a, b, _ = tm.orbit_projections(s)
-        out = tmp_path / "scatter.svg"
-        tm.plot_shapes(list(zip(a.tolist(), b.tolist())), str(out))
-        root = ET.parse(out).getroot()
+        root = ET.fromstring(tm.plot_shapes(list(zip(a.tolist(), b.tolist()))))
         assert len(_classes(root, "pt")) == 10
 
-    def test_census_dot_count(self, tmp_path):
+    def test_census_dot_count(self):
         # a census has no equilateral class, so the dots are exactly the
         # 6-per-scalene, 3-per-isoceles orbit projections
         s = tm.enumerate_weighted(5)
@@ -40,42 +38,33 @@ class TestShapeScatter:
             else:
                 scalene += 1
         a, b, _ = tm.orbit_projections(s)
-        out = tmp_path / "census.svg"
-        tm.plot_shapes(list(zip(a.tolist(), b.tolist())), str(out))
-        root = ET.parse(out).getroot()
+        root = ET.fromstring(tm.plot_shapes(list(zip(a.tolist(), b.tolist()))))
         assert len(_classes(root, "pt")) == 6 * scalene + 3 * iso == len(a)
 
-    def test_reference_furniture_present(self, tmp_path):
-        out = tmp_path / "one.svg"
-        tm.plot_shapes([(0.7, 0.7)], str(out))
-        root = ET.parse(out).getroot()
+    def test_reference_furniture_present(self):
+        root = ET.fromstring(tm.plot_shapes([(0.7, 0.7)]))
         assert len(_classes(root, "equilateral")) == 1
         assert len(_classes(root, "iso")) == 3
         assert len(_classes(root, "region")) == 1
 
-    def test_deterministic_bytes(self, tmp_path):
+    def test_deterministic_bytes(self):
         pts = [(0.7, 0.7), (0.55, 0.85)]
-        f1, f2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        tm.plot_shapes(pts, str(f1))
-        tm.plot_shapes(pts, str(f2))
-        assert f1.read_bytes() == f2.read_bytes()
+        assert tm.plot_shapes(pts) == tm.plot_shapes(pts)
 
-    def test_guards(self, tmp_path):
+    def test_guards(self):
         with pytest.raises(tm.GuardError):
-            tm.plot_shapes([], str(tmp_path / "x.svg"))
+            tm.plot_shapes([])
         with pytest.raises(tm.GuardError):
-            tm.plot_shapes([(5.0, 0.5)], str(tmp_path / "x.svg"))
+            tm.plot_shapes([(5.0, 0.5)])
         with pytest.raises(tm.GuardError):
-            tm.plot_shapes([(float("nan"), 0.5)], str(tmp_path / "x.svg"))
+            tm.plot_shapes([(float("nan"), 0.5)])
 
     @pytest.mark.parametrize("point", [("0.7", "0.7"), (True, True)], ids=["str", "bool"])
-    def test_rejects_points_that_are_not_real(self, tmp_path, point):
-        out = tmp_path / "x.svg"
+    def test_rejects_points_that_are_not_real(self, point):
         with pytest.raises(tm.GuardError):
-            tm.plot_shapes([point], str(out))
-        assert not out.exists()
+            tm.plot_shapes([point])
 
-    def test_point_cap_checked_before_any_point_is_read(self, tmp_path):
+    def test_point_cap_checked_before_any_point_is_read(self):
         class Oversized:
             def __len__(self):
                 return tm.MAX_PLOT_POINTS + 1
@@ -83,10 +72,8 @@ class TestShapeScatter:
             def __iter__(self):
                 raise AssertionError("points read before the cap was checked")
 
-        out = tmp_path / "x.svg"
         with pytest.raises(tm.GuardError):
-            tm.plot_shapes(Oversized(), str(out))
-        assert not out.exists()
+            tm.plot_shapes(Oversized())
 
     def test_census_points_refuses_n31_before_projecting(self, s31, monkeypatch):
         def project(census):
@@ -103,37 +90,27 @@ class TestShapeScatter:
 
 
 class TestCurvePlot:
-    def test_single_point_structure(self, tmp_path):
-        out = tmp_path / "curve.svg"
-        tm.plot_curve([tm.obtuse_point(2)], str(out))
-        root = ET.parse(out).getroot()
+    def test_single_point_structure(self):
+        root = ET.fromstring(tm.plot_curve([tm.obtuse_point(2)]))
         assert len(_classes(root, "wpt")) == 1
         assert len(_classes(root, "dpt")) == 1
         assert len(_classes(root, "ref")) == 2
 
-    def test_tick_per_grid_size(self, tmp_path):
-        pts = tm.obtuse_curve(5)
-        out = tmp_path / "curve.svg"
-        tm.plot_curve(pts, str(out))
-        root = ET.parse(out).getroot()
+    def test_tick_per_grid_size(self):
+        root = ET.fromstring(tm.plot_curve(tm.obtuse_curve(5)))
         ticks = [el.text for el in _classes(root, "xtick")]
         assert ticks == ["2", "3", "4", "5"]
         assert len(_classes(root, "wpt")) == 4
         assert len(_classes(root, "dpt")) == 4
 
-    def test_parses_as_svg(self, tmp_path):
-        out = tmp_path / "curve.svg"
-        tm.plot_curve(tm.obtuse_curve(3), str(out))
-        root = ET.parse(out).getroot()
+    def test_parses_as_svg(self):
+        root = ET.fromstring(tm.plot_curve(tm.obtuse_curve(3)))
         assert root.tag == f"{SVG}svg"
 
-    def test_deterministic_bytes(self, tmp_path):
+    def test_deterministic_bytes(self):
         pts = tm.obtuse_curve(3)
-        f1, f2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        tm.plot_curve(pts, str(f1))
-        tm.plot_curve(pts, str(f2))
-        assert f1.read_bytes() == f2.read_bytes()
+        assert tm.plot_curve(pts) == tm.plot_curve(pts)
 
-    def test_empty_guard(self, tmp_path):
+    def test_empty_guard(self):
         with pytest.raises(tm.GuardError):
-            tm.plot_curve([], str(tmp_path / "x.svg"))
+            tm.plot_curve([])
