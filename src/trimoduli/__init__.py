@@ -11,17 +11,12 @@ from .errors import GuardError, PrecisionError
 from .parallel import ENV_THREADS, map_ordered, worker_count
 from .lattice import (
     MAX_COORD,
-    AngleClass,
     LatticePoint,
     LatticeTriangle,
     SimilarityKey,
-    SquaredSides,
-    classify_angle,
     cross,
-    is_collinear,
     reduced_triple,
     similarity_key,
-    squared_sides,
     strict_triangle_test,
     triangle,
 )
@@ -51,7 +46,6 @@ from .diophantine import (
     approximate_shape,
     dirichlet_1d,
     dirichlet_2d,
-    equilateral_approximant,
     shape_to_vertex,
     star_discrepancy,
     weyl_sequence,
@@ -69,7 +63,6 @@ from .randgeom import (
     unit_square_mean_distance,
 )
 from .analysis import (
-    MAX_ANALYSIS_N,
     EquidistReport,
     ObtuseCurvePoint,
     compare_to_uniform,

@@ -4,7 +4,7 @@ variation distance between a census and the uniform shape measure.
 The headline comparison puts three measures side by side per grid size n:
 
 * the weighted census fraction of obtuse triangles in [-n, n]^2,
-* the uniform-measure mass of the obtuse region, (9 - 12 ln 2)/1 ~ 0.6822,
+* the uniform-measure mass of the obtuse region, 9 - 12 ln 2 ~ 0.6822,
 * the random-triangle baseline 97/150 + pi/40 ~ 0.7252.
 
 The census tracking the random-triangle value rather than the uniform one
@@ -28,8 +28,6 @@ from .enumeration import MAX_N, obtuse_counts
 from .errors import GuardError, check_int_range
 from .moduli import ModuliRegion, WeightedShapeSet, normalized_sides, uniform_target
 from .randgeom import MAX_BINS, langford_obtuse_probability
-
-MAX_ANALYSIS_N = MAX_N  # one ceiling for the census and its analyses
 
 _FRACTION_TOL = 1e-12
 
@@ -73,47 +71,34 @@ class EquidistReport:
             raise ValueError("gap_to_langford inconsistent with stored values")
 
 
+def _curve_point(n: int, tw: int, ow: int, dc: int, od: int) -> ObtuseCurvePoint:
+    """The curve point at n from its total and obtuse weights and its
+    distinct and obtuse distinct counts."""
+    return ObtuseCurvePoint(n, ow / tw, od / dc, tw, dc, ow, od)
+
+
 def curve_point_from_set(n: int, s: WeightedShapeSet) -> ObtuseCurvePoint:
     """Obtuse fractions of an existing census (no re-enumeration)."""
     if len(s) == 0:
         raise GuardError("empty census")
     p, q, r, w = s.columns()
     obtuse = ModuliRegion.OBTUSE_ALL.key_mask(p, q, r)
-    ow = int(w[obtuse].sum())
-    oc = int(np.count_nonzero(obtuse))
-    return ObtuseCurvePoint(
-        n=n,
-        weighted_fraction=ow / s.total_weight,
-        distinct_fraction=oc / len(s),
-        total_weight=s.total_weight,
-        distinct_count=len(s),
-        obtuse_weight=ow,
-        obtuse_distinct=oc,
+    return _curve_point(
+        n, s.total_weight, int(w[obtuse].sum()), len(s), int(np.count_nonzero(obtuse))
     )
 
 
 def obtuse_curve(n_max: int) -> list[ObtuseCurvePoint]:
     """Obtuse fractions for every n = 2 .. n_max, from one pass over the
     box heights (enumeration.obtuse_counts)."""
-    n_max = check_int_range(n_max, "n_max", 2, MAX_ANALYSIS_N)
-    return [
-        ObtuseCurvePoint(
-            n=n,
-            weighted_fraction=ow / tw,
-            distinct_fraction=od / dc,
-            total_weight=tw,
-            distinct_count=dc,
-            obtuse_weight=ow,
-            obtuse_distinct=od,
-        )
-        for n, (tw, ow, dc, od) in enumerate(obtuse_counts(n_max), start=1)
-        if n >= 2
-    ]
+    n_max = check_int_range(n_max, "n_max", 2, MAX_N)
+    counts = enumerate(obtuse_counts(n_max), start=1)
+    return [_curve_point(n, *c) for n, c in counts if n >= 2]
 
 
 def obtuse_point(n: int) -> ObtuseCurvePoint:
     """The last point of the curve to n."""
-    return obtuse_curve(check_int_range(n, "n", 2, MAX_ANALYSIS_N))[-1]
+    return obtuse_curve(check_int_range(n, "n", 2, MAX_N))[-1]
 
 
 def report_from_point(point: ObtuseCurvePoint) -> EquidistReport:

@@ -215,17 +215,6 @@ def approximate_shape(target: ShapeTriple, eps: float) -> LatticeTriangle:
     )
 
 
-def equilateral_approximant(eps: float) -> LatticeTriangle:
-    """Isosceles lattice triangle (0,0), (2m,0), (m,n) with |m*sqrt(3) - n|
-    < eps; its shape tends to equilateral as eps -> 0 even though no exact
-    equilateral lattice triangle exists."""
-    eps = check_real(eps, "eps", EPS_FLOOR_SHAPE)
-    m, n = dirichlet_1d(math.sqrt(3.0), eps)
-    return LatticeTriangle(
-        LatticePoint(0, 0), LatticePoint(2 * m, 0), LatticePoint(m, n)
-    )
-
-
 def weyl_sequence(x: float, count: int) -> np.ndarray:
     """Fractional parts {x}, {2x}, ..., {count*x} as a float64 array."""
     x = check_real(x, "x")

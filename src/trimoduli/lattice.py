@@ -13,22 +13,12 @@ invariant (orientation and reflection included).
 
 from __future__ import annotations
 
-import enum
 import math
-import operator
 from dataclasses import dataclass
 
+from .errors import check_int_range
+
 MAX_COORD = 2**31 - 1  # input coordinates must fit in 32 bits
-
-
-def _as_int(value, what: str) -> int:
-    """value as an int; TypeError for bools and non-integers."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,19 +30,13 @@ class LatticePoint:
 
     def __post_init__(self):
         for name in ("x", "y"):
-            v = _as_int(getattr(self, name), f"coordinate {name}")
-            if abs(v) > MAX_COORD:
-                raise ValueError(f"coordinate {name}={v} exceeds the 32-bit input range")
+            v = check_int_range(getattr(self, name), f"coordinate {name}", -MAX_COORD, MAX_COORD)
             object.__setattr__(self, name, v)
 
 
 def cross(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
     """Signed cross product of the edges a->b and a->c."""
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
-def is_collinear(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> bool:
-    return cross(a, b, c) == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,20 +48,13 @@ class LatticeTriangle:
     c: LatticePoint
 
     def __post_init__(self):
-        if self.a == self.b or self.b == self.c or self.a == self.c:
-            raise ValueError("triangle vertices must be pairwise distinct")
+        # coincident vertices have a zero cross product too
         if cross(self.a, self.b, self.c) == 0:
             raise ValueError("triangle vertices are collinear")
 
     @property
     def vertices(self) -> tuple[LatticePoint, LatticePoint, LatticePoint]:
         return (self.a, self.b, self.c)
-
-
-def _sq_dist(p: LatticePoint, q: LatticePoint) -> int:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return dx * dx + dy * dy
 
 
 def strict_triangle_test(p: int, q: int, r: int) -> bool:
@@ -92,33 +69,6 @@ def strict_triangle_test(p: int, q: int, r: int) -> bool:
     return d * d < 4 * p * q
 
 
-def _check_sorted_triangle(p: int, q: int, r: int, kind: str) -> None:
-    if p < 1:
-        raise ValueError(f"{kind} must be positive, got smallest entry {p}")
-    if not (p <= q <= r):
-        raise ValueError(f"{kind} must be sorted ascending, got ({p}, {q}, {r})")
-    if not strict_triangle_test(p, q, r):
-        raise ValueError(f"({p}, {q}, {r}) fails the strict triangle test")
-
-
-@dataclass(frozen=True, slots=True)
-class SquaredSides:
-    """Sorted squared side lengths of a non-degenerate triangle."""
-
-    p: int
-    q: int
-    r: int
-
-    def __post_init__(self):
-        for name in ("p", "q", "r"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        _check_sorted_triangle(self.p, self.q, self.r, "squared sides")
-
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        return (self.p, self.q, self.r)
-
-
 @dataclass(frozen=True, slots=True)
 class SimilarityKey:
     """gcd-reduced sorted squared side lengths; a complete similarity invariant."""
@@ -129,10 +79,14 @@ class SimilarityKey:
 
     def __post_init__(self):
         for name in ("p", "q", "r"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        _check_sorted_triangle(self.p, self.q, self.r, "key entries")
-        if math.gcd(self.p, self.q, self.r) != 1:
-            raise ValueError(f"key ({self.p}, {self.q}, {self.r}) is not gcd-reduced")
+            object.__setattr__(self, name, check_int_range(getattr(self, name), name, 1, math.inf))
+        p, q, r = self.p, self.q, self.r
+        if not (p <= q <= r):
+            raise ValueError(f"key entries must be sorted ascending, got ({p}, {q}, {r})")
+        if not strict_triangle_test(p, q, r):
+            raise ValueError(f"({p}, {q}, {r}) fails the strict triangle test")
+        if math.gcd(p, q, r) != 1:
+            raise ValueError(f"key ({p}, {q}, {r}) is not gcd-reduced")
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -155,18 +109,6 @@ def unpack_key(packed, shift: int):
     return packed >> (2 * shift), (packed >> shift) & mask, packed & mask
 
 
-class AngleClass(enum.Enum):
-    ACUTE = "acute"
-    RIGHT = "right"
-    OBTUSE = "obtuse"
-
-
-def squared_sides(t: LatticeTriangle) -> SquaredSides:
-    """Sorted exact squared side lengths of t."""
-    s = sorted((_sq_dist(t.a, t.b), _sq_dist(t.b, t.c), _sq_dist(t.c, t.a)))
-    return SquaredSides(s[0], s[1], s[2])
-
-
 def reduced_triple(p0: int, q0: int, r0: int) -> tuple[int, int, int]:
     """Sort and gcd-reduce three squared side lengths.  Hot-path helper;
     performs no triangle validation."""
@@ -177,18 +119,9 @@ def reduced_triple(p0: int, q0: int, r0: int) -> tuple[int, int, int]:
 
 def similarity_key(t: LatticeTriangle) -> SimilarityKey:
     """Similarity class of t as a reduced sorted triple of squared sides."""
-    s = squared_sides(t)
-    g = math.gcd(s.p, s.q, s.r)
-    return SimilarityKey(s.p // g, s.q // g, s.r // g)
-
-
-def classify_angle(k: SimilarityKey) -> AngleClass:
-    """Largest-angle class from the exact comparison of r against p + q."""
-    if k.r > k.p + k.q:
-        return AngleClass.OBTUSE
-    if k.r == k.p + k.q:
-        return AngleClass.RIGHT
-    return AngleClass.ACUTE
+    a, b, c = t.vertices
+    sq = [(u.x - v.x) ** 2 + (u.y - v.y) ** 2 for u, v in ((a, b), (b, c), (c, a))]
+    return SimilarityKey(*reduced_triple(*sq))
 
 
 def triangle(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> LatticeTriangle:

@@ -115,15 +115,9 @@ class ModuliRegion(Enum):
     ACUTE = "acute"
     FULL = "full"
 
-    def contains_key(self, key: SimilarityKey) -> bool:
-        if self is ModuliRegion.FULL:
-            return True
-        if self is ModuliRegion.OBTUSE_ALL:
-            return key.r > key.p + key.q
-        return key.r < key.p + key.q
-
     def key_mask(self, p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Vectorized contains_key over column arrays of reduced triples."""
+        """Which keys, given as column arrays of reduced triples, lie in the
+        region: the exact comparison of r against p + q."""
         if self is ModuliRegion.FULL:
             return np.ones(len(p), dtype=bool)
         if self is ModuliRegion.OBTUSE_ALL:
@@ -146,7 +140,8 @@ class WeightedShapeSet:
 
     Backed by int64 column arrays sorted lexicographically by (p, q, r),
     so censuses with ~10^6 classes stay compact and export order is
-    canonical.  Weights are positive integers.
+    canonical.  Weights are positive integers; key entries and weights
+    must fit in int64 (GuardError otherwise).
     """
 
     __slots__ = ("_p", "_q", "_r", "_w", "_total")
@@ -160,7 +155,10 @@ class WeightedShapeSet:
                 trip = SimilarityKey(*key).triple  # validates arbitrary tuples
             rows.append((*trip, check_int_range(weight, "weight", 1, (1 << 63) - 1)))
         rows.sort()
-        cols = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+        try:
+            cols = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+        except OverflowError:
+            raise GuardError("key entries must fit in int64") from None
         self._init_columns(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])
 
     @classmethod
@@ -241,10 +239,6 @@ class WeightedShapeSet:
 
     def __contains__(self, key) -> bool:
         return self._row_of(key) >= 0
-
-    def keys(self):
-        for i in range(len(self._w)):
-            yield SimilarityKey(int(self._p[i]), int(self._q[i]), int(self._r[i]))
 
     def items(self):
         for i in range(len(self._w)):

@@ -17,7 +17,14 @@ import numpy as np
 from .analysis import EquidistReport, ObtuseCurvePoint
 from .errors import GuardError
 from .lattice import LatticeTriangle, similarity_key
-from .moduli import CHECK_ROWS, ShapeTriple, WeightedShapeSet, normalized_sides, shape_of
+from .moduli import (
+    CHECK_ROWS,
+    ModuliRegion,
+    ShapeTriple,
+    WeightedShapeSet,
+    normalized_sides,
+    shape_of,
+)
 from .randgeom import Histogram2D, McEstimate
 
 WSET_SCHEMA = "trimoduli.weighted-set.v1"
@@ -52,8 +59,8 @@ def _json_doc(schema: str, **body) -> str:
 
 
 def _angle_names(p, q, r) -> np.ndarray:
-    out = np.where(r > p + q, "obtuse", "acute")
-    return np.where(r == p + q, "right", out)
+    out = np.where(ModuliRegion.OBTUSE_ALL.key_mask(p, q, r), "obtuse", "right")
+    return np.where(ModuliRegion.ACUTE.key_mask(p, q, r), "acute", out)
 
 
 def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:

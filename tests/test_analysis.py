@@ -12,12 +12,8 @@ from trimoduli import enumeration
 class TestObtusePoint:
     def test_n2_against_naive_recount(self, s2):
         pt = tm.obtuse_point(2)
-        ow = sum(
-            w for k, w in s2.items() if tm.classify_angle(k) is tm.AngleClass.OBTUSE
-        )
-        oc = sum(
-            1 for k, _ in s2.items() if tm.classify_angle(k) is tm.AngleClass.OBTUSE
-        )
+        ow = sum(w for k, w in s2.items() if k.r > k.p + k.q)
+        oc = sum(1 for k, _ in s2.items() if k.r > k.p + k.q)
         assert pt.total_weight == s2.total_weight == 2148
         assert pt.distinct_count == len(s2) == 55
         assert pt.obtuse_weight == ow == 1148
@@ -46,7 +42,7 @@ class TestObtusePoint:
         with pytest.raises(tm.GuardError):
             tm.obtuse_point(1)
         with pytest.raises(tm.GuardError):
-            tm.obtuse_point(tm.MAX_ANALYSIS_N + 1)
+            tm.obtuse_point(tm.MAX_N + 1)
         with pytest.raises(tm.GuardError):
             tm.obtuse_point(2.0)
 
@@ -89,9 +85,7 @@ class TestOneScanCurve:
 class TestCurvePointFromSet:
     def test_naive_cross_check(self):
         s = tm.enumerate_naive((0, 2, 0, 2))
-        obtuse = sum(
-            w for k, w in s.items() if tm.classify_angle(k) is tm.AngleClass.OBTUSE
-        )
+        obtuse = sum(w for k, w in s.items() if k.r > k.p + k.q)
         assert tm.curve_point_from_set(1, s).weighted_fraction == obtuse / s.total_weight
 
     def test_scale_invariance(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import shlex
 import shutil
 import subprocess
@@ -301,3 +302,10 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_library_names_resolve():
+    # every tm.<name> in the README, the Library tour's included, is public
+    names = set(re.findall(r"\btm\.(\w+)", (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert names
+    assert sorted(name for name in names if not hasattr(tm, name)) == []

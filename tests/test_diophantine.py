@@ -231,27 +231,25 @@ class TestApproximateShape:
 
 
 class TestEquilateralApproximant:
+    """approximate_shape on the equilateral target, which no lattice
+    triangle realizes exactly."""
+
+    EQUI = tm.ShapeTriple(2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)
+
     def test_coarse_witness(self):
-        # m = 1 already has |sqrt(3) - 2| = 0.268 < 0.5
-        tri = tm.equilateral_approximant(0.5)
-        assert [(p.x, p.y) for p in tri.vertices] == [(0, 0), (2, 0), (1, 2)]
-        assert tm.similarity_key(tri).triple == (4, 5, 5)
+        # m = 1 already lands within 0.5: the right isosceles (1, 1, 2)
+        tri = tm.approximate_shape(self.EQUI, 0.5)
+        assert [(p.x, p.y) for p in tri.vertices] == [(0, 0), (1, 0), (0, 1)]
+        assert tm.similarity_key(tri).triple == (1, 1, 2)
 
     def test_distance_shrinks_with_eps(self):
-        equi = tm.ShapeTriple(2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)
         dists = []
         for eps in (0.5, 0.05, 0.005):
-            tri = tm.equilateral_approximant(eps)
-            d = equi.distance_to(tm.shape_of(tm.similarity_key(tri)))
+            tri = tm.approximate_shape(self.EQUI, eps)
+            d = self.EQUI.distance_to(tm.shape_of(tm.similarity_key(tri)))
             assert d < eps
             dists.append(d)
         assert dists[0] > dists[1] > dists[2]
-
-    def test_base_is_doubled_multiplier(self):
-        tri = tm.equilateral_approximant(0.01)
-        a, b, c = tri.vertices
-        assert a == tm.LatticePoint(0, 0)
-        assert b.y == 0 and b.x == 2 * c.x
 
 
 class TestWeyl:

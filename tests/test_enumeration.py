@@ -174,8 +174,8 @@ class TestWeightedCensus:
 
     def test_keys_monotone_in_n(self, s2):
         s3 = tm.enumerate_weighted(3)
-        k2 = set(s2.keys())
-        k3 = set(s3.keys())
+        k2 = {k for k, _ in s2.items()}
+        k3 = {k for k, _ in s3.items()}
         assert k2 <= k3
         for k in k2:
             assert s3.weight_of(k) >= s2.weight_of(k)
@@ -276,5 +276,7 @@ class TestCensusInvariantsAtScale:
 
     def test_max_n_is_the_analysis_ceiling(self):
         # one ceiling for census and analysis, and its keys pack into int64
-        assert tm.MAX_N == tm.MAX_ANALYSIS_N
+        for call in (tm.enumerate_weighted, tm.obtuse_curve, tm.obtuse_point):
+            with pytest.raises(tm.GuardError, match=f"got {tm.MAX_N + 1}$"):
+                call(tm.MAX_N + 1)
         assert 3 * (8 * tm.MAX_N**2).bit_length() <= 63

@@ -21,7 +21,6 @@ REAL_ENTRY_POINTS = {
     "dirichlet_1d": (lambda v: tm.dirichlet_1d(v, 1e-3), 0.5),
     "dirichlet_2d": (lambda v: tm.dirichlet_2d(math.sqrt(2.0), v, 1e-2), 0.5),
     "approximate_shape": (lambda v: tm.approximate_shape(_TARGET, v), 0.5),
-    "equilateral_approximant": (tm.equilateral_approximant, 0.5),
     "weyl_sequence": (lambda v: tm.weyl_sequence(v, 10), 0.5),
 }
 

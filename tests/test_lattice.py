@@ -35,7 +35,7 @@ class TestPoints:
         assert (p.x, p.y) == (3, -4) and type(p.x) is int
 
     def test_rejects_floats(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(tm.GuardError):
             tm.LatticePoint(1.5, 0)
 
     @pytest.mark.parametrize(
@@ -48,11 +48,11 @@ class TestPoints:
         ids=["point", "key", "weighted-set-key"],
     )
     def test_rejects_bools(self, make):
-        with pytest.raises(TypeError):
+        with pytest.raises(tm.GuardError):
             make()
 
     def test_rejects_wide_coordinates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(tm.GuardError):
             tm.LatticePoint(2**31, 0)
         tm.LatticePoint(2**31 - 1, -(2**31 - 1))  # boundary fits
 
@@ -60,9 +60,9 @@ class TestPoints:
 class TestPredicates:
     def test_collinear_examples(self):
         a, b, c = _tri_points(0, 0, 1, 1, 2, 2)
-        assert tm.is_collinear(a, b, c)
+        assert tm.cross(a, b, c) == 0
         a, b, c = _tri_points(0, 0, 1, 0, 0, 1)
-        assert not tm.is_collinear(a, b, c)
+        assert tm.cross(a, b, c) != 0
 
     def test_cross_sign(self):
         a, b, c = _tri_points(0, 0, 1, 0, 0, 1)
@@ -77,22 +77,26 @@ class TestPredicates:
 
 
 class TestSquaredSides:
+    """The sorted squared sides a key is made of: reduced by similarity_key,
+    checked by SimilarityKey."""
+
     def test_example_2_0_1_2(self):
-        assert tm.squared_sides(tm.triangle(0, 0, 2, 0, 1, 2)).triple == (4, 5, 5)
+        # gcd 1, so the key is the squared sides themselves
+        assert tm.similarity_key(tm.triangle(0, 0, 2, 0, 1, 2)).triple == (4, 5, 5)
 
     def test_unit_right(self):
-        assert tm.squared_sides(tm.triangle(0, 0, 1, 0, 0, 1)).triple == (1, 1, 2)
+        assert tm.similarity_key(tm.triangle(0, 0, 1, 0, 0, 1)).triple == (1, 1, 2)
 
     def test_requires_sorted(self):
         with pytest.raises(ValueError):
-            tm.SquaredSides(5, 4, 5)
+            tm.SimilarityKey(5, 4, 5)
 
     def test_rejects_degenerate_triple(self):
         # sides 1, 1, 2 squared: collinear configuration
         with pytest.raises(ValueError):
-            tm.SquaredSides(1, 1, 4)
+            tm.SimilarityKey(1, 1, 4)
         with pytest.raises(ValueError):
-            tm.SquaredSides(1, 4, 9)
+            tm.SimilarityKey(1, 4, 9)
 
 
 class TestStrictTriangleTest:
@@ -106,8 +110,7 @@ class TestStrictTriangleTest:
     @settings(max_examples=200)
     def test_realized_triples_always_pass(self, t):
         tri = tm.LatticeTriangle(*_tri_points(*t))
-        s = tm.squared_sides(tri)
-        assert tm.strict_triangle_test(s.p, s.q, s.r)
+        assert tm.strict_triangle_test(*tm.similarity_key(tri).triple)
 
 
 class TestSimilarityKey:
@@ -177,11 +180,29 @@ class TestSimilarityKey:
         assert len(keys) == 1
 
 
+def _exported_angle_class(key) -> str:
+    """The angle_class field of key's row in the CSV export."""
+    row = tm.export_weighted_set(tm.WeightedShapeSet({key: 1})).splitlines()[-1]
+    return row.split(",")[4]
+
+
+def _dots(tri):
+    """Dot products of the two edge vectors at each vertex of tri."""
+    a, b, c = tri.vertices
+    return [
+        (b.x - a.x) * (c.x - a.x) + (b.y - a.y) * (c.y - a.y),
+        (a.x - b.x) * (c.x - b.x) + (a.y - b.y) * (c.y - b.y),
+        (a.x - c.x) * (b.x - c.x) + (a.y - c.y) * (b.y - c.y),
+    ]
+
+
 class TestClassify:
+    """A key's angle class, as key_mask and the exports decide it."""
+
     def test_examples(self):
-        assert tm.classify_angle(tm.SimilarityKey(1, 1, 2)) is tm.AngleClass.RIGHT
-        assert tm.classify_angle(tm.SimilarityKey(2, 9, 17)) is tm.AngleClass.OBTUSE
-        assert tm.classify_angle(tm.SimilarityKey(4, 5, 5)) is tm.AngleClass.ACUTE
+        assert _exported_angle_class(tm.SimilarityKey(1, 1, 2)) == "right"
+        assert _exported_angle_class(tm.SimilarityKey(2, 9, 17)) == "obtuse"
+        assert _exported_angle_class(tm.SimilarityKey(4, 5, 5)) == "acute"
 
     @given(triangles)
     @settings(max_examples=300)
@@ -189,27 +210,16 @@ class TestClassify:
         # independent check: a right angle means two edge vectors at some
         # vertex have exact dot product zero
         tri = tm.LatticeTriangle(*_tri_points(*t))
-        a, b, c = tri.vertices
-        dots = [
-            (b.x - a.x) * (c.x - a.x) + (b.y - a.y) * (c.y - a.y),
-            (a.x - b.x) * (c.x - b.x) + (a.y - b.y) * (c.y - b.y),
-            (a.x - c.x) * (b.x - c.x) + (a.y - c.y) * (b.y - c.y),
-        ]
-        is_right = tm.classify_angle(tm.similarity_key(tri)) is tm.AngleClass.RIGHT
-        assert is_right == (0 in dots)
+        is_right = _exported_angle_class(tm.similarity_key(tri)) == "right"
+        assert is_right == (0 in _dots(tri))
 
     @given(triangles)
     @settings(max_examples=300)
     def test_obtuse_iff_negative_dot_product(self, t):
         tri = tm.LatticeTriangle(*_tri_points(*t))
-        a, b, c = tri.vertices
-        dots = [
-            (b.x - a.x) * (c.x - a.x) + (b.y - a.y) * (c.y - a.y),
-            (a.x - b.x) * (c.x - b.x) + (a.y - b.y) * (c.y - b.y),
-            (a.x - c.x) * (b.x - c.x) + (a.y - c.y) * (b.y - c.y),
-        ]
-        is_obtuse = tm.classify_angle(tm.similarity_key(tri)) is tm.AngleClass.OBTUSE
-        assert is_obtuse == any(d < 0 for d in dots)
+        k = tm.similarity_key(tri)
+        is_obtuse = bool(tm.ModuliRegion.OBTUSE_ALL.key_mask(k.p, k.q, k.r))
+        assert is_obtuse == any(d < 0 for d in _dots(tri))
 
 
 def test_no_equilateral_exhaustive_small_grid():

@@ -127,25 +127,18 @@ class TestRightLocus:
 
 
 class TestRegions:
-    def test_contains_key(self):
-        obtuse = tm.ModuliRegion.OBTUSE_ALL
-        assert obtuse.contains_key(tm.SimilarityKey(2, 9, 17))
-        assert not obtuse.contains_key(tm.SimilarityKey(1, 1, 2))  # right
-        assert not obtuse.contains_key(tm.SimilarityKey(4, 5, 5))  # acute
-        acute = tm.ModuliRegion.ACUTE
-        assert acute.contains_key(tm.SimilarityKey(4, 5, 5))
-        assert not acute.contains_key(tm.SimilarityKey(1, 1, 2))
-        assert tm.ModuliRegion.FULL.contains_key(tm.SimilarityKey(1, 1, 2))
-
     def test_key_mask_matches_scalar(self):
+        # right (1, 1, 2), obtuse (2, 9, 17), acute (4, 5, 5), right (9, 16, 25)
         p = np.array([1, 2, 4, 9], dtype=np.int64)
         q = np.array([1, 9, 5, 16], dtype=np.int64)
         r = np.array([2, 17, 5, 25], dtype=np.int64)
-        for region in tm.ModuliRegion:
-            mask = region.key_mask(p, q, r)
-            for i in range(len(p)):
-                key = tm.SimilarityKey(int(p[i]), int(q[i]), int(r[i]))
-                assert bool(mask[i]) == region.contains_key(key)
+        expected = {
+            tm.ModuliRegion.OBTUSE_ALL: [False, True, False, False],  # r > p + q
+            tm.ModuliRegion.ACUTE: [False, False, True, False],  # r < p + q
+            tm.ModuliRegion.FULL: [True, True, True, True],
+        }
+        for region, mask in expected.items():
+            assert region.key_mask(p, q, r).tolist() == mask
 
 
 class TestWeightedShapeSet:
@@ -265,6 +258,15 @@ class TestWeightedShapeSet:
         assert (2, 2, 3) in s
         census = tm.enumerate_weighted(3)
         assert all(census.weight_of(k) == w for k, w in census.items())
+
+    def test_rejects_realizable_keys_beyond_int64(self):
+        # every coordinate passes the MAX_COORD guard, yet the squared sides
+        # are about 1.8e19, 1.8e19 and 3.7e19
+        m = tm.MAX_COORD
+        key = tm.similarity_key(tm.triangle(-m, -m, m, m, -m, m - 1))
+        assert key.p > 2**63 - 1
+        with pytest.raises(tm.GuardError):
+            tm.WeightedShapeSet({key: 1})
 
     def test_lookup_of_keys_too_wide_to_pack(self):
         wide = (1, 2**22, 2**22 + 1)
