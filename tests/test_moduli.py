@@ -127,6 +127,20 @@ class TestRightLocus:
 
 
 class TestRegions:
+    def test_contains_key(self):
+        def contains(region, key):
+            p, q, r = (np.array([v], dtype=np.int64) for v in (key.p, key.q, key.r))
+            return bool(region.key_mask(p, q, r)[0])
+
+        obtuse = tm.ModuliRegion.OBTUSE_ALL
+        assert contains(obtuse, tm.SimilarityKey(2, 9, 17))
+        assert not contains(obtuse, tm.SimilarityKey(1, 1, 2))  # right
+        assert not contains(obtuse, tm.SimilarityKey(4, 5, 5))  # acute
+        acute = tm.ModuliRegion.ACUTE
+        assert contains(acute, tm.SimilarityKey(4, 5, 5))
+        assert not contains(acute, tm.SimilarityKey(1, 1, 2))
+        assert contains(tm.ModuliRegion.FULL, tm.SimilarityKey(1, 1, 2))
+
     def test_key_mask_matches_scalar(self):
         # right (1, 1, 2), obtuse (2, 9, 17), acute (4, 5, 5), right (9, 16, 25)
         p = np.array([1, 2, 4, 9], dtype=np.int64)
