@@ -30,6 +30,7 @@ from .moduli import (
     obtuse_region_measure,
     right_locus,
     shape_of,
+    uniform_bin_masses,
     uniform_target,
 )
 from .enumeration import (
@@ -72,9 +73,7 @@ from .analysis import (
     obtuse_point,
     orbit_bin_masses,
     orbit_projections,
-    report_from_point,
     tv_distance,
-    uniform_bin_masses,
 )
 from .serialize import (
     export_approximant,

@@ -28,6 +28,10 @@ from .errors import GuardError, check_int_range, check_real
 from .lattice import SimilarityKey
 
 SUM_TOL = 1e-12
+MAX_BINS = 4096
+# bound on WeightedShapeSet key entries, so p + q, d^2 and 4pq are exact in
+# int64; census entries are at most 8 n^2 = 32,768
+KEY_BOUND = 1 << 30
 # rows per slice of the WeightedShapeSet invariant checks, so their
 # temporaries stay small at any column length
 CHECK_ROWS = 1 << 16
@@ -76,6 +80,39 @@ def shape_of(key: SimilarityKey) -> ShapeTriple:
     """Normalized side lengths of the similarity class: sides sqrt(p) <=
     sqrt(q) <= sqrt(r) scaled so they sum to 2."""
     return ShapeTriple(*normalized_sides(key.p, key.q, key.r))
+
+
+# the labeled orbit order: projection k of a shape (a, b, c) takes its first
+# and second coordinate from the sides LABELED_PAIRS[k]
+LABELED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+
+
+def shape_grid(x, y, bins: int, weights=None) -> np.ndarray:
+    """int64 bins x bins grid of the points (x, y) of [0, 1]^2: cell (i, j)
+    holds the points with floor(x * bins) = i and floor(y * bins) = j, 1.0
+    in the last cell.  A point counts 1, or its integer weight, exact while
+    the total stays below 2^53."""
+    ix, iy = (np.clip((v * bins).astype(np.int64), 0, bins - 1) for v in (x, y))
+    grid = np.bincount(ix * bins + iy, weights, minlength=bins * bins)
+    return grid.astype(np.int64, copy=False).reshape(bins, bins)
+
+
+def uniform_bin_masses(bins: int) -> np.ndarray:
+    """Mass the uniform measure on {a < 1, b < 1, a + b > 1} puts in each
+    cell of the shape_grid mesh of bins x bins cells.
+
+    The region's hypotenuse a + b = 1 runs corner-to-corner through the
+    grid, so each cell is either fully inside (i + j >= bins), fully
+    outside (i + j <= bins - 2), or exactly half covered along the
+    diagonal i + j = bins - 1.  Masses are exact rationals in floats:
+    2/bins^2, 0, and 1/bins^2."""
+    bins = check_int_range(bins, "bins", 2, MAX_BINS)
+    i = np.arange(bins)[:, None]
+    j = np.arange(bins)[None, :]
+    masses = np.zeros((bins, bins), dtype=np.float64)
+    masses[i + j >= bins] = 2.0 / (bins * bins)
+    masses[i + j == bins - 1] = 1.0 / (bins * bins)
+    return masses
 
 
 def measure_teich() -> float:
@@ -140,8 +177,8 @@ class WeightedShapeSet:
 
     Backed by int64 column arrays sorted lexicographically by (p, q, r),
     so censuses with ~10^6 classes stay compact and export order is
-    canonical.  Weights are positive integers; key entries and weights
-    must fit in int64 (GuardError otherwise).
+    canonical.  Weights are positive integers that fit in int64, and key
+    entries are below KEY_BOUND (GuardError otherwise).
     """
 
     __slots__ = ("_p", "_q", "_r", "_w", "_total")
@@ -158,17 +195,18 @@ class WeightedShapeSet:
         try:
             cols = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
         except OverflowError:
-            raise GuardError("key entries must fit in int64") from None
+            raise GuardError(f"key entries must be below {KEY_BOUND}") from None
         self._init_columns(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])
 
     @classmethod
     def from_columns(cls, p, q, r, w) -> "WeightedShapeSet":
         """Build from parallel integer arrays (dtype kind 'i' or 'u') sorted
-        by (p, q, r); GuardError for any other dtype, ValueError when the
-        rows break an invariant.  Takes its columns: a contiguous int64
-        column is kept without a copy and turns read-only for the caller
-        too; any other column is copied.  Copying all four would add about
-        1 GB to the n = 64 census peak, which this call holds."""
+        by (p, q, r); GuardError for any other dtype or for a key entry of
+        KEY_BOUND or more, ValueError when the rows break an invariant.
+        Takes its columns: a contiguous int64 column is kept without a copy
+        and turns read-only for the caller too; any other column is copied.
+        Copying all four would add about 1 GB to the n = 64 census peak,
+        which this call holds."""
         cols = [np.asarray(col) for col in (p, q, r, w)]
         for col, name in zip(cols, ("p", "q", "r", "weight")):
             if col.dtype.kind not in "iu":
@@ -189,6 +227,8 @@ class WeightedShapeSet:
                 raise ValueError("weights must be positive")
             if np.any((ps < 1) | (ps > qs) | (qs > rs)):
                 raise ValueError("triples must be sorted with p >= 1")
+            if np.any(rs >= KEY_BOUND):
+                raise GuardError(f"key entries must be below {KEY_BOUND}")
             d = rs - ps - qs
             if np.any((d >= 0) & (d * d >= 4 * ps * qs)):
                 raise ValueError("some triple fails the strict triangle test")

@@ -23,14 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import check_int_range
-from .moduli import normalized_sides
+from .moduli import LABELED_PAIRS, MAX_BINS, normalized_sides, shape_grid
 from .parallel import map_ordered, worker_count
 from .rng import BLOCK_SAMPLES, block_generator, block_sizes, check_seed
 
 OBTUSE_MARGIN = 1e-15  # squared-length slack; ties count as not obtuse
 
 MIN_SAMPLES = 1000
-MAX_BINS = 4096
 
 
 def langford_obtuse_probability() -> float:
@@ -65,7 +64,7 @@ class McEstimate:
 class Histogram2D:
     """Binned mass of sampled shapes on the ab-plane region.
 
-    counts[ix, iy] bins the square [0,1)^2 uniformly, ix from the first
+    counts is the moduli.shape_grid of the projections, ix from the first
     coordinate.  In labeled mode every sample contributes its 6 labeled
     projections; in sorted mode just the moduli representative.
     obtuse_count counts obtuse samples (not projections) for consistency
@@ -181,18 +180,14 @@ def _histogram_block(
     u = _triangle_uniforms(gen, size)
     ab, bc, ca = _squared_sides_cols(u)
     obtuse = int(np.count_nonzero(_obtuse_mask(ab, bc, ca)))
-    na, nb, nc = normalized_sides(ab, bc, ca)
+    sides = normalized_sides(ab, bc, ca)
     if labeled:
-        x = np.concatenate([na, na, nb, nb, nc, nc])
-        y = np.concatenate([nb, nc, na, nc, na, nb])
+        x = np.concatenate([sides[i] for i, _ in LABELED_PAIRS])
+        y = np.concatenate([sides[j] for _, j in LABELED_PAIRS])
     else:
-        tri = np.sort(np.stack([na, nb, nc], axis=1), axis=1)
-        x = tri[:, 0]
-        y = tri[:, 1]
-    ix = np.clip((x * bins).astype(np.int64), 0, bins - 1)
-    iy = np.clip((y * bins).astype(np.int64), 0, bins - 1)
-    grid = np.bincount(ix * bins + iy, minlength=bins * bins).reshape(bins, bins)
-    return grid.astype(np.int64, copy=False), obtuse
+        tri = np.sort(np.stack(sides, axis=1), axis=1)
+        x, y = tri[:, 0], tri[:, 1]
+    return shape_grid(x, y, bins), obtuse
 
 
 def shape_histogram(

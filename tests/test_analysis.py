@@ -27,11 +27,14 @@ class TestObtusePoint:
         assert curve[0] == tm.obtuse_point(2)
 
     def test_point_validation_rejects_mismatched_fraction(self):
-        with pytest.raises(ValueError):
+        # the fractions are derived from the counts, so none can be passed in
+        for pt in tm.obtuse_curve(5):
+            assert pt.weighted_fraction == pt.obtuse_weight / pt.total_weight
+            assert pt.distinct_fraction == pt.obtuse_distinct / pt.distinct_count
+        with pytest.raises(TypeError):
             tm.ObtuseCurvePoint(
                 n=2,
-                weighted_fraction=0.9,  # inconsistent with the counts
-                distinct_fraction=31 / 55,
+                weighted_fraction=0.9,
                 total_weight=2148,
                 distinct_count=55,
                 obtuse_weight=1148,
@@ -45,6 +48,16 @@ class TestObtusePoint:
             tm.obtuse_point(tm.MAX_N + 1)
         with pytest.raises(tm.GuardError):
             tm.obtuse_point(2.0)
+
+    @pytest.mark.parametrize("n", ["x", 2.5, True, 0])
+    def test_records_reject_an_n_that_is_not_a_grid_size(self, n):
+        s = tm.WeightedShapeSet({tm.SimilarityKey(1, 1, 2): 4})
+        with pytest.raises(tm.GuardError):
+            tm.curve_point_from_set(n, s)
+        with pytest.raises(tm.GuardError):
+            tm.ObtuseCurvePoint(n, 4, 1, 0, 0)
+        with pytest.raises(tm.GuardError):
+            tm.EquidistReport(n, 0.5)
 
 
 class TestOneScanCurve:
@@ -99,6 +112,10 @@ class TestCurvePointFromSet:
         assert p1.weighted_fraction == p2.weighted_fraction == 0.2
         assert p1.distinct_fraction == p2.distinct_fraction == 0.5
 
+    def test_empty_census_rejected(self):
+        with pytest.raises(tm.GuardError):
+            tm.curve_point_from_set(2, tm.WeightedShapeSet({}))
+
     def test_no_obtuse_weight_is_zero_not_error(self):
         s = tm.WeightedShapeSet({tm.SimilarityKey(1, 1, 2): 4})
         assert tm.curve_point_from_set(2, s).weighted_fraction == 0.0
@@ -139,18 +156,18 @@ class TestEquidistReport:
 
     def test_report_from_precomputed_point(self, s2):
         pt = tm.curve_point_from_set(2, s2)
-        assert tm.report_from_point(pt) == tm.equidist_report(2)
+        assert tm.EquidistReport(pt.n, pt.weighted_fraction) == tm.equidist_report(2)
 
     def test_validation_rejects_wrong_gap(self):
-        with pytest.raises(ValueError):
-            tm.EquidistReport(
-                n=2,
-                empirical_ratio=0.5,
-                uniform_target=0.68,
-                langford=0.72,
-                gap_to_uniform=0.5,  # should be 0.18
-                gap_to_langford=0.22,
-            )
+        # the references and gaps are derived from the fraction, so none can
+        # be passed in
+        r = tm.EquidistReport(2, 0.5)
+        assert r.uniform_target == tm.uniform_target(tm.ModuliRegion.OBTUSE_ALL)
+        assert r.langford == tm.langford_obtuse_probability()
+        assert r.gap_to_uniform == abs(0.5 - r.uniform_target)
+        assert r.gap_to_langford == abs(0.5 - r.langford)
+        with pytest.raises(TypeError):
+            tm.EquidistReport(n=2, empirical_ratio=0.5, gap_to_uniform=0.5)
 
 
 class TestUniformMasses:
@@ -211,6 +228,26 @@ class TestOrbitProjections:
         short = pairs[0][0]
         long_ = pairs[-1][0]
         assert pairs == [(short, short), (short, long_), (long_, short)]
+
+
+class TestOrbitBinMasses:
+    def test_equals_the_add_at_grid(self):
+        # the integer grid built point by point with np.add.at is the oracle
+        # for the weighted bincount of moduli.shape_grid
+        s, bins = tm.enumerate_weighted(8), 32
+        x, y, w = tm.orbit_projections(s)
+        ix = np.clip((x * bins).astype(np.int64), 0, bins - 1)
+        iy = np.clip((y * bins).astype(np.int64), 0, bins - 1)
+        grid = np.zeros((bins, bins), dtype=np.int64)
+        np.add.at(grid, (ix, iy), w)
+        assert np.array_equal(tm.orbit_bin_masses(s, bins), grid / grid.sum())
+
+    def test_weighted_bincount_is_exact_up_to_max_n(self):
+        # bincount sums weights in float64, exact while every cell and the
+        # total stay below 2^53; the six projections of every triangle of
+        # the largest census are 6 * 767,568,546,000
+        assert tm.total_triangle_count(tm.MAX_N) == 767_568_546_000
+        assert 6 * tm.total_triangle_count(tm.MAX_N) < 2**53
 
 
 class TestCompareToUniform:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimoduli as tm
-from trimoduli.moduli import CHECK_ROWS, normalized_sides
+from trimoduli.moduli import CHECK_ROWS, KEY_BOUND, normalized_sides, shape_grid
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
@@ -155,6 +155,20 @@ class TestRegions:
             assert region.key_mask(p, q, r).tolist() == mask
 
 
+class TestShapeGrid:
+    @pytest.mark.parametrize("bins", [2, 7, 64])
+    def test_cell_k_starts_at_k_over_bins(self, bins):
+        k = np.arange(bins)
+        grid = shape_grid(k / bins, (bins - 1 - k) / bins, bins)
+        assert grid.dtype == np.int64
+        assert np.array_equal(grid, np.fliplr(np.eye(bins, dtype=np.int64)))
+
+    def test_one_falls_in_the_last_cell(self):
+        grid = shape_grid(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 4, np.array([3, 5]))
+        assert grid.dtype == np.int64
+        assert grid[3, 3] == 3 and grid[0, 3] == 5 and grid.sum() == 8
+
+
 class TestWeightedShapeSet:
     def test_from_mapping(self):
         s = tm.WeightedShapeSet({tm.SimilarityKey(1, 1, 2): 4})
@@ -281,6 +295,38 @@ class TestWeightedShapeSet:
         assert key.p > 2**63 - 1
         with pytest.raises(tm.GuardError):
             tm.WeightedShapeSet({key: 1})
+
+    # past KEY_BOUND, d * d, 4 * p * q and p + q can wrap in int64: without
+    # the bound the first (no triangle) passes the triangle test and the
+    # second (acute) counts as obtuse
+    @pytest.mark.parametrize(
+        "key",
+        [(2**60, (2**30 + 1) ** 2, 4611686022722355202), (2**62 + 1, 2**62 + 1, 2**62 + 3)],
+        ids=["degenerate", "acute"],
+    )
+    def test_rejects_key_entries_from_the_bound_on(self, key):
+        p, q, r = ([v] for v in key)
+        with pytest.raises(tm.GuardError):
+            tm.WeightedShapeSet.from_columns(p, q, r, [1])
+        with pytest.raises(ValueError):  # SimilarityKey rejects the first itself
+            tm.WeightedShapeSet({key: 1})
+        a, b, c = (float(side[0]) for side in normalized_sides(p, q, r))
+        angle = "obtuse" if key[2] > key[0] + key[1] else "acute"
+        text = (
+            "# schema: trimoduli.weighted-set.v1\np,q,r,weight,angle_class,a,b,c\n"
+            f"{key[0]},{key[1]},{key[2]},1,{angle},{a!r},{b!r},{c!r}\n"
+        )
+        with pytest.raises(tm.GuardError):
+            tm.read_weighted_set(text, "csv")
+
+    def test_accepts_key_entries_below_the_bound(self):
+        key = (KEY_BOUND - 3, KEY_BOUND - 2, KEY_BOUND - 1)
+        s = tm.WeightedShapeSet({key: 1})
+        assert tm.WeightedShapeSet.from_columns(*s.columns()) == s
+        assert tm.curve_point_from_set(1, s).obtuse_weight == 0
+        assert "acute" in tm.export_weighted_set(s)
+        with pytest.raises(tm.GuardError):
+            tm.WeightedShapeSet({(KEY_BOUND - 2, KEY_BOUND - 1, KEY_BOUND): 1})
 
     def test_lookup_of_keys_too_wide_to_pack(self):
         wide = (1, 2**22, 2**22 + 1)
