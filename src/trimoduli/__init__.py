@@ -21,7 +21,6 @@ from .lattice import (
     triangle,
 )
 from .moduli import (
-    SUM_TOL,
     ModuliRegion,
     ShapeTriple,
     WeightedShapeSet,
@@ -35,31 +34,24 @@ from .moduli import (
 )
 from .enumeration import (
     MAX_N,
-    NAIVE_POINT_GUARD,
     collinear_triple_count,
     enumerate_naive,
     enumerate_weighted,
-    total_triangle_count,
 )
 from .diophantine import (
-    DirichletApproximant,
-    PlaneVertex,
     approximate_shape,
     dirichlet_1d,
     dirichlet_2d,
-    shape_to_vertex,
     star_discrepancy,
     weyl_sequence,
 )
 from .rng import BLOCK_SAMPLES, block_generator, splitmix64, stream_key
 from .randgeom import (
-    OBTUSE_MARGIN,
     Histogram2D,
     McEstimate,
     langford_obtuse_probability,
     mean_pair_distance,
     obtuse_probability,
-    pair_distances,
     shape_histogram,
     unit_square_mean_distance,
 )

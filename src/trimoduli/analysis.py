@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .enumeration import MAX_N, obtuse_counts
-from .errors import GuardError, check_int_range
+from .errors import GuardError, check_int_range, check_real
 from .moduli import (
     LABELED_PAIRS,
     MAX_BINS,
@@ -58,6 +58,14 @@ class ObtuseCurvePoint:
         object.__setattr__(self, "n", check_int_range(self.n, "n", 1, MAX_N))
         if not (0 < self.distinct_count and 0 < self.total_weight):
             raise GuardError("empty census")
+        if not (
+            0 <= self.obtuse_weight <= self.total_weight
+            and 0 <= self.obtuse_distinct <= self.distinct_count
+        ):
+            raise GuardError(
+                f"obtuse counts ({self.obtuse_weight}, {self.obtuse_distinct}) exceed the "
+                f"census ({self.total_weight}, {self.distinct_count}) or are negative"
+            )
         object.__setattr__(self, "weighted_fraction", self.obtuse_weight / self.total_weight)
         object.__setattr__(self, "distinct_fraction", self.obtuse_distinct / self.distinct_count)
 
@@ -75,12 +83,16 @@ class EquidistReport:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_int_range(self.n, "n", 1, MAX_N))
+        ratio = check_real(self.empirical_ratio, "empirical_ratio", 0.0)
+        if ratio > 1.0:
+            raise GuardError(f"empirical_ratio must be <= 1, got {ratio}")
+        object.__setattr__(self, "empirical_ratio", ratio)
         uni = uniform_target(ModuliRegion.OBTUSE_ALL)
         lang = langford_obtuse_probability()
         object.__setattr__(self, "uniform_target", uni)
         object.__setattr__(self, "langford", lang)
-        object.__setattr__(self, "gap_to_uniform", abs(self.empirical_ratio - uni))
-        object.__setattr__(self, "gap_to_langford", abs(self.empirical_ratio - lang))
+        object.__setattr__(self, "gap_to_uniform", abs(ratio - uni))
+        object.__setattr__(self, "gap_to_langford", abs(ratio - lang))
 
 
 def curve_point_from_set(n: int, s: WeightedShapeSet) -> ObtuseCurvePoint:

@@ -266,9 +266,3 @@ def collinear_triple_count(box: tuple[int, int, int, int]) -> int:
         if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0:
             total += 1
     return total
-
-
-def total_triangle_count(n: int) -> int:
-    """Number of non-degenerate triangles with vertices in [-n, n]^2, from
-    the closed form the census is checked against."""
-    return _triangle_total(check_int_range(n, "n", 1, MAX_N))

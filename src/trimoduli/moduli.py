@@ -254,32 +254,6 @@ class WeightedShapeSet:
     def __len__(self) -> int:
         return len(self._w)
 
-    def _row_of(self, key) -> int:
-        """Row of key in the sorted columns, -1 when absent.  One
-        lexicographic search: narrow the rows by p, then q, then r."""
-        trip = key.triple if isinstance(key, SimilarityKey) else key
-        try:
-            p, q, r = [check_int_range(v, "key entry", -math.inf, math.inf) for v in trip]
-        except (TypeError, ValueError):
-            raise GuardError(f"key must be three integers, got {key!r}") from None
-        lo, hi = 0, len(self)
-        for col, v in ((self._p, p), (self._q, q), (self._r, r)):
-            seg = col[lo:hi]
-            lo, hi = (
-                lo + int(np.searchsorted(seg, v, side="left")),
-                lo + int(np.searchsorted(seg, v, side="right")),
-            )
-        return lo if lo < hi else -1
-
-    def weight_of(self, key) -> int:
-        """Multiplicity of key; 0 when absent.  GuardError when key is not
-        three integers."""
-        i = self._row_of(key)
-        return int(self._w[i]) if i >= 0 else 0
-
-    def __contains__(self, key) -> bool:
-        return self._row_of(key) >= 0
-
     def items(self):
         for i in range(len(self._w)):
             yield (

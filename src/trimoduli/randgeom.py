@@ -90,11 +90,6 @@ class Histogram2D:
             )
 
 
-def pair_distances(x1, y1, x2, y2) -> np.ndarray:
-    """Euclidean distance kernel used by the samplers."""
-    return np.hypot(np.asarray(x2) - np.asarray(x1), np.asarray(y2) - np.asarray(y1))
-
-
 def _triangle_uniforms(gen: np.random.Generator, count: int) -> np.ndarray:
     """(count, 6) uniforms (ax, ay, bx, by, cx, cy) with exactly collinear
     rows resampled from the same stream."""
@@ -132,7 +127,7 @@ def _obtuse_block(seed: int, index: int, size: int) -> tuple[int]:
 def _distance_block(seed: int, index: int, size: int) -> tuple[float, float]:
     gen = block_generator(seed, index)
     u = gen.random((size, 4))
-    d = pair_distances(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
+    d = np.hypot(u[:, 2] - u[:, 0], u[:, 3] - u[:, 1])
     return (float(d.sum()), float(np.square(d).sum()))
 
 

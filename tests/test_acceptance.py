@@ -80,7 +80,7 @@ def _collinear_brute(n: int) -> int:
 
 def test_c03_no_equilateral():
     missing = all(
-        tm.SimilarityKey(1, 1, 1) not in tm.enumerate_weighted(n)
+        tm.SimilarityKey(1, 1, 1) not in dict(tm.enumerate_weighted(n).items())
         for n in range(1, 11)
     )
     _verdict("c03", "no equilateral class for n <= 10", [("n<=10", missing)])

@@ -1,5 +1,6 @@
 """Obtuse-fraction curves and the binned equidistribution comparison."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -59,6 +60,18 @@ class TestObtusePoint:
         with pytest.raises(tm.GuardError):
             tm.EquidistReport(n, 0.5)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [(4, 1, 5, 0), (4, 1, 2, 3), (4, 1, -1, 0), (4, 1, 0, -1)],
+        ids=["weight-above-total", "distinct-above-count", "negative-weight", "negative-distinct"],
+    )
+    def test_point_rejects_obtuse_counts_outside_the_census(self, counts):
+        # the fractions these would give (1.25, 3.0, ...) are not fractions
+        with pytest.raises(tm.GuardError):
+            tm.ObtuseCurvePoint(2, *counts)
+        pt = tm.ObtuseCurvePoint(2, 4, 1, 4, 1)
+        assert (pt.weighted_fraction, pt.distinct_fraction) == (1.0, 1.0)
+
 
 class TestOneScanCurve:
     """obtuse_curve takes every point from one scan of the box heights;
@@ -93,6 +106,30 @@ class TestOneScanCurve:
         fractions = [pt.weighted_fraction for pt in curve31]
         assert all(a < b for a, b in zip(fractions, fractions[1:]))
         assert fractions[-1] < tm.langford_obtuse_probability()
+
+
+class TestScaleLaws:
+    """Measured rates, not limits: the census's obtuse and right weight
+    shares differ from the random-triangle law by O(ln n / n^2)."""
+
+    def test_obtuse_gap_to_langford_scales_as_log_n_over_n_squared(self, curve31):
+        # law 1: gap * n^2 / ln n is 0.88465 at n = 4, 0.84674 at 8 and
+        # 0.83020 at 31
+        limit = 97 / 150 + math.pi / 40
+        rate = {
+            pt.n: (limit - pt.weighted_fraction) * pt.n**2 / math.log(pt.n) for pt in curve31
+        }
+        assert all(rate[n + 1] < rate[n] for n in range(4, 31))
+        assert all(0.82 <= rate[n] <= 0.85 for n in range(8, 32))
+
+    def test_right_weight_share_scales_as_log_n_over_n_squared(self, s31):
+        # law 2: right classes (r = p + q) have measure zero in shape space,
+        # yet hold 1.29175, 1.29665 and 1.30180 times ln n / n^2 of the
+        # weight at n = 8, 16 and 31
+        for n, s in [(8, tm.enumerate_weighted(8)), (16, tm.enumerate_weighted(16)), (31, s31)]:
+            p, q, r, w = s.columns()
+            share = int(w[r == p + q].sum()) / s.total_weight
+            assert 1.2 <= share * n**2 / math.log(n) <= 1.4
 
 
 class TestCurvePointFromSet:
@@ -168,6 +205,14 @@ class TestEquidistReport:
         assert r.gap_to_langford == abs(0.5 - r.langford)
         with pytest.raises(TypeError):
             tm.EquidistReport(n=2, empirical_ratio=0.5, gap_to_uniform=0.5)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -0.1, 1.7])
+    def test_rejects_a_ratio_that_is_not_a_fraction(self, ratio):
+        # nan would be exported as NaN, which is not JSON
+        with pytest.raises(tm.GuardError):
+            tm.EquidistReport(2, ratio)
+        for edge in (0, 1):
+            assert tm.EquidistReport(2, edge).empirical_ratio == float(edge)
 
 
 class TestUniformMasses:
@@ -246,8 +291,8 @@ class TestOrbitBinMasses:
         # bincount sums weights in float64, exact while every cell and the
         # total stay below 2^53; the six projections of every triangle of
         # the largest census are 6 * 767,568,546,000
-        assert tm.total_triangle_count(tm.MAX_N) == 767_568_546_000
-        assert 6 * tm.total_triangle_count(tm.MAX_N) < 2**53
+        assert enumeration._triangle_total(tm.MAX_N) == 767_568_546_000
+        assert 6 * enumeration._triangle_total(tm.MAX_N) < 2**53
 
 
 class TestCompareToUniform:

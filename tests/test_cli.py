@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -309,3 +310,35 @@ def test_readme_library_names_resolve():
     names = set(re.findall(r"\btm\.(\w+)", (ROOT / "README.md").read_text(encoding="utf-8")))
     assert names
     assert sorted(name for name in names if not hasattr(tm, name)) == []
+
+
+# the public surface of the package; a change that grows or shrinks it edits
+# this list
+PUBLIC_NAMES = [
+    "BLOCK_SAMPLES", "ENV_THREADS", "EquidistReport", "GuardError", "Histogram2D",
+    "LatticePoint", "LatticeTriangle", "MAX_COORD", "MAX_N", "MAX_PLOT_POINTS",
+    "McEstimate", "ModuliRegion", "ObtuseCurvePoint", "PrecisionError", "ShapeTriple",
+    "SimilarityKey", "WeightedShapeSet", "approximate_shape", "block_generator",
+    "census_points", "collinear_triple_count", "compare_to_uniform", "cross",
+    "curve_point_from_set", "dirichlet_1d", "dirichlet_2d", "enumerate_naive",
+    "enumerate_weighted", "equidist_report", "export_approximant", "export_curve",
+    "export_estimate", "export_histogram", "export_report", "export_weighted_set",
+    "langford_obtuse_probability", "map_ordered", "mean_pair_distance", "measure_moduli",
+    "measure_teich", "obtuse_curve", "obtuse_point", "obtuse_probability",
+    "obtuse_region_measure", "orbit_bin_masses", "orbit_projections", "plot_curve",
+    "plot_shapes", "read_weighted_set", "reduced_triple", "right_locus", "shape_histogram",
+    "shape_of", "similarity_key", "splitmix64", "star_discrepancy", "stream_key",
+    "strict_triangle_test", "triangle", "tv_distance", "uniform_bin_masses",
+    "uniform_target", "unit_square_mean_distance", "weyl_sequence", "worker_count",
+    "write_text",
+]
+
+
+def test_public_names_are_pinned():
+    public = sorted(
+        name
+        for name in dir(tm)
+        if not name.startswith("_") and not isinstance(getattr(tm, name), types.ModuleType)
+    )
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert public == PUBLIC_NAMES

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 import trimoduli as tm
 from test_acceptance import _target_grid
-from trimoduli.diophantine import EPS_FLOOR_1D, EPS_FLOOR_2D, EPS_FLOOR_SHAPE, MAX_WEYL_COUNT
+from trimoduli.diophantine import (
+    EPS_FLOOR_1D,
+    EPS_FLOOR_2D,
+    EPS_FLOOR_SHAPE,
+    MAX_WEYL_COUNT,
+    DirichletApproximant,
+    PlaneVertex,
+    shape_to_vertex,
+)
 
 
 def _passes(m, x, eps):
@@ -116,19 +124,19 @@ class TestDirichlet2D:
 
     def test_approximant_validation(self):
         with pytest.raises(ValueError):
-            tm.DirichletApproximant(0, 1, 1, 0.0, 0.0)
+            DirichletApproximant(0, 1, 1, 0.0, 0.0)
         with pytest.raises(ValueError):
-            tm.DirichletApproximant(1, 1, 1, -0.1, 0.0)
+            DirichletApproximant(1, 1, 1, -0.1, 0.0)
 
 
 class TestShapeToVertex:
     def test_3_4_5(self):
-        v = tm.shape_to_vertex(tm.ShapeTriple(0.5, 4.0 / 6.0, 5.0 / 6.0))
+        v = shape_to_vertex(tm.ShapeTriple(0.5, 4.0 / 6.0, 5.0 / 6.0))
         assert v.x == pytest.approx(0.64, abs=1e-15)
         assert v.y == pytest.approx(0.48, abs=1e-15)
 
     def test_equilateral(self):
-        v = tm.shape_to_vertex(tm.ShapeTriple(2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0))
+        v = shape_to_vertex(tm.ShapeTriple(2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0))
         assert v.x == 0.5
         assert v.y == math.sqrt(3.0) / 2.0
 
@@ -144,7 +152,7 @@ class TestShapeToVertex:
         if not (a <= b <= c < 0.98 and a + b - c > 0.02):
             return
         s = tm.ShapeTriple(a, b, c)
-        v = tm.shape_to_vertex(s)
+        v = shape_to_vertex(s)
         base = c  # the longest side is rescaled to the unit base
         sides = sorted(
             (
@@ -159,7 +167,7 @@ class TestShapeToVertex:
 
     def test_vertex_validation(self):
         with pytest.raises(ValueError):
-            tm.PlaneVertex(0.5, 0.0)
+            PlaneVertex(0.5, 0.0)
 
 
 class TestApproximateShape:
@@ -197,7 +205,7 @@ class TestApproximateShape:
         eps = 1e-3
         for target in _target_grid():
             tri = tm.approximate_shape(target, eps)
-            apex = tm.shape_to_vertex(target)
+            apex = shape_to_vertex(target)
             m = tri.b.x
             assert (tri.a, tri.b.y) == (tm.LatticePoint(0, 0), 0)
             assert (tri.c.x, tri.c.y) == (round(m * apex.x), round(m * apex.y))

@@ -9,6 +9,7 @@ import pytest
 
 import trimoduli as tm
 from trimoduli.cli import main
+from trimoduli.diophantine import PlaneVertex
 from trimoduli.errors import check_real
 
 _TARGET = tm.ShapeTriple(0.5, 0.7, 0.8)
@@ -16,7 +17,7 @@ _TARGET = tm.ShapeTriple(0.5, 0.7, 0.8)
 # entry point -> (call with one real argument replaced, a value it accepts)
 REAL_ENTRY_POINTS = {
     "ShapeTriple": (lambda v: tm.ShapeTriple(0.5, 0.7, v), 0.8),
-    "PlaneVertex": (lambda v: tm.PlaneVertex(0.5, v), 0.5),
+    "PlaneVertex": (lambda v: PlaneVertex(0.5, v), 0.5),
     "right_locus": (tm.right_locus, 0.5),
     "dirichlet_1d": (lambda v: tm.dirichlet_1d(v, 1e-3), 0.5),
     "dirichlet_2d": (lambda v: tm.dirichlet_2d(math.sqrt(2.0), v, 1e-2), 0.5),

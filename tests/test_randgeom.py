@@ -51,23 +51,6 @@ class TestReferenceValues:
         assert tm.unit_square_mean_distance() == pytest.approx(0.5214054331, abs=1e-9)
 
 
-class TestPairDistances:
-    def test_unit_square_diagonal(self):
-        d = tm.pair_distances(
-            np.array([0.0]), np.array([0.0]), np.array([1.0]), np.array([1.0])
-        )
-        assert d[0] == math.sqrt(2.0)
-
-    def test_batch(self):
-        d = tm.pair_distances(
-            np.array([0.0, 1.0]),
-            np.array([0.0, 1.0]),
-            np.array([3.0, 1.0]),
-            np.array([4.0, 1.0]),
-        )
-        assert d.tolist() == [5.0, 0.0]
-
-
 class TestObtuseEstimator:
     def test_deterministic(self):
         a = tm.obtuse_probability(20_000, 11)
