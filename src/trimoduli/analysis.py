@@ -109,7 +109,7 @@ def obtuse_curve(n_max: int) -> list[ObtuseCurvePoint]:
     box heights (enumeration.obtuse_counts)."""
     n_max = check_int_range(n_max, "n_max", 2, MAX_N)
     counts = enumerate(obtuse_counts(n_max), start=1)
-    return [ObtuseCurvePoint(n, tw, dc, ow, od) for n, (tw, ow, dc, od) in counts if n >= 2]
+    return [ObtuseCurvePoint(n, *c) for n, c in counts if n >= 2]
 
 
 def obtuse_point(n: int) -> ObtuseCurvePoint:

@@ -25,16 +25,16 @@ gives the rows of box height h, their sorted squared sides and their
 gcd-reduced packed keys.  The census weights those keys by translate
 count and merges the h-tables.  As a post-condition the total weight
 must equal C(N^2, 3) minus the collinear triples of the grid, or the run
-fails loudly.  Squared sides are at most w^2 + h^2 <= 8 n^2, so keys pack
-into one int64 word.
+raises PrecisionError.  Squared sides are at most w^2 + h^2 <= 8 n^2, so
+keys pack into one int64 word.
 
 The obtuse curve needs no census per n, because the rows of height h
 belong to every grid with 2n >= h.  obtuse_counts makes one pass over
-h = 1 .. 2 n_max with the same kernel and keeps two things per height:
-the orbit moments S0 = sum orbit and S1 = sum orbit w, from which every
-n's total and obtuse weights follow in closed form, and the number of
-classes (all and obtuse) whose first, smallest, height is h, whose
-running sums are every n's distinct counts.
+h = 1 .. 2 n_max with the same kernel and fills three (cell, height)
+tables, cell 1 the obtuse rows: the orbit moments S0 = sum orbit and
+S1 = sum orbit w, whose running sums give every n's weights in closed
+form, and the number of classes whose first, smallest, height is h,
+whose running sums are every n's distinct counts.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import GuardError, check_int_range
+from .errors import GuardError, PrecisionError, check_int_range
 from .lattice import pack_key, reduced_triple, unpack_key
 from .moduli import ModuliRegion, WeightedShapeSet
 
@@ -144,42 +144,40 @@ def enumerate_weighted(n: int) -> WeightedShapeSet:
     keys, weights = _merge(_box_table(n, h) for h in range(1, 2 * n + 1))
     total, expected = int(weights.sum()), _triangle_total(n)
     if total != expected:
-        raise RuntimeError(f"census total {total} != closed-form triangle count {expected}")
+        raise PrecisionError(f"census total {total} != closed-form triangle count {expected}")
     p, q, r = unpack_key(keys, _pack_shift(n))
     del keys  # from_columns holds the peak; it needs only the columns
     return WeightedShapeSet.from_columns(p, q, r, weights)
 
 
 def obtuse_counts(n_max: int) -> list[tuple[int, int, int, int]]:
-    """(total_weight, obtuse_weight, distinct_count, obtuse_distinct) of
-    the census of every n = 1 .. n_max, from one pass over the box heights
-    h = 1 .. 2 n_max.
+    """(total_weight, distinct_count, obtuse_weight, obtuse_distinct) of the
+    census of every n = 1 .. n_max, in ObtuseCurvePoint field order, from
+    one pass over the box heights h = 1 .. 2 n_max.
 
-    Weights need no keys: a row of box w x h has weight orbit (N - w)(N - h)
-    for every n with h <= 2n, so with S0 = sum orbit and S1 = sum orbit w
-    over the rows of height h, the weight at n is the sum over h <= 2n of
-    (N - h)(N S0 - S1), over all rows and over the obtuse ones.  A class is
-    in the n-grid when its first height, the smallest h of its rows, is at
-    most 2n; new classes are counted by first height, a batch of heights
-    at a time, against the sorted keys seen so far.  Each n's total must
-    equal the closed-form triangle count, or the run fails loudly."""
+    A row of box w x h has weight orbit (N - w)(N - h) for every n with
+    h <= 2n.  With S0 = sum orbit and S1 = sum orbit w over a cell's rows of
+    height h (cell 1 the obtuse rows), its weight at n is the sum over
+    h <= 2n of (N - h)(N S0 - S1) = N^2 A - N B + C, with A, B and C the
+    running sums of S0, h S0 + S1 and h S1.  A class is in grid n when its
+    first height, the smallest h of its rows, is <= 2n; new classes are
+    found a batch of heights at a time against the sorted keys seen so far.
+    A total off the closed-form triangle count raises PrecisionError."""
     n_max = check_int_range(n_max, "n_max", 1, MAX_N)
     heights = 2 * n_max
     shift = _pack_shift(n_max)
-    moments = []  # (S0, S1, obtuse S0, obtuse S1) for h = 1, 2, ...
-    firsts = np.zeros((2, heights + 1), dtype=np.int64)  # new classes, all and obtuse
+    # S0, S1 and new classes by (cell, h); float bincounts are exact < 2^53
+    s0, s1, firsts = np.zeros((3, 2, heights + 1), dtype=np.int64)
     # a sentinel above every packed key keeps searchsorted inside the array
     seen = np.array([np.iinfo(np.int64).max])
     for start in range(1, heights + 1, FIRST_H_BATCH):
         keys, first_h = [], []
         for h in range(start, min(start + FIRST_H_BATCH, heights + 1)):
             width, orbit, sides, packed = _box_keys(h, shift)
-            obtuse = ModuliRegion.OBTUSE_ALL.key_mask(*sides)
+            cell = ModuliRegion.OBTUSE_ALL.key_mask(*sides)
             del sides
-            moment = orbit * width
-            moments.append(
-                tuple(int(x.sum()) for x in (orbit, moment, orbit[obtuse], moment[obtuse]))
-            )
+            s0[:, h] = np.bincount(cell, orbit, 2)
+            s1[:, h] = np.bincount(cell, orbit * width, 2)
             packed.sort()
             packed = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
             keys.append(packed)
@@ -194,23 +192,23 @@ def obtuse_counts(n_max: int) -> list[tuple[int, int, int, int]]:
         at = np.searchsorted(seen, keys)
         new = seen[at] != keys
         keys, first_h, at = keys[new], first_h[new], at[new]
-        obtuse = ModuliRegion.OBTUSE_ALL.key_mask(*unpack_key(keys, shift))
-        firsts[0] += np.bincount(first_h, minlength=heights + 1)
-        firsts[1] += np.bincount(first_h[obtuse], minlength=heights + 1)
+        cell = ModuliRegion.OBTUSE_ALL.key_mask(*unpack_key(keys, shift))
+        flat = np.bincount(cell * (heights + 1) + first_h, minlength=firsts.size)
+        firsts += flat.reshape(firsts.shape)
         seen = np.insert(seen, at, keys)
-    distinct = np.cumsum(firsts, axis=1).tolist()
-    counts = []
-    for n in range(1, n_max + 1):
-        side = 2 * n + 1
-        per_h = list(zip(range(1, 2 * n + 1), moments))
-        total = sum((side - h) * (side * s0 - s1) for h, (s0, s1, _, _) in per_h)
-        obtuse_weight = sum((side - h) * (side * s0 - s1) for h, (_, _, s0, s1) in per_h)
+    # running sums at the columns h = 2n, where N = h + 1
+    h = np.arange(heights + 1)
+    side = h[2::2] + 1
+    a, b, c, distinct = (np.cumsum(t, axis=1)[:, 2::2] for t in (s0, h * s0 + s1, h * s1, firsts))
+    weight = side * side * a - side * b + c
+    table = (weight.sum(axis=0), distinct.sum(axis=0), weight[1], distinct[1])
+    counts = list(zip(*(col.tolist() for col in table)))
+    for n, (total, *_) in enumerate(counts, start=1):
         expected = _triangle_total(n)
         if total != expected:
-            raise RuntimeError(
+            raise PrecisionError(
                 f"curve total {total} at n={n} != closed-form triangle count {expected}"
             )
-        counts.append((total, obtuse_weight, distinct[0][2 * n], distinct[1][2 * n]))
     return counts
 
 

@@ -293,6 +293,13 @@ class TestOrbitBinMasses:
         # the largest census are 6 * 767,568,546,000
         assert enumeration._triangle_total(tm.MAX_N) == 767_568_546_000
         assert 6 * enumeration._triangle_total(tm.MAX_N) < 2**53
+        # obtuse_counts bincounts orbit and orbit * width per height in
+        # float64, largest at h = 2 * MAX_N, and its int64 running sums
+        # are bounded by N^2 A <= heights * sum orbit(2 * MAX_N) * N^2
+        heights = 2 * tm.MAX_N
+        width, orbit, _, _ = enumeration._box_keys(heights, enumeration._pack_shift(tm.MAX_N))
+        assert int((orbit * width).sum()) == 1_073_627_136 < 2**53
+        assert heights * int(orbit.sum()) * (heights + 1) ** 2 < 2**63
 
 
 class TestCompareToUniform:

@@ -74,6 +74,18 @@ class TestExitCodes:
         assert code == 4
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate", "--n", "2"], ["curve", "--n-max", "3"], ["report", "--n", "3"]],
+        ids=["enumerate", "curve", "report"],
+    )
+    def test_failed_total_check_is_4(self, capsys, monkeypatch, argv):
+        # a closed-form total one off makes the census and curve checks fail
+        total = tm.enumeration._triangle_total
+        monkeypatch.setattr("trimoduli.enumeration._triangle_total", lambda n: total(n) + 1)
+        assert main(argv) == 4
+        assert "error:" in capsys.readouterr().err
+
     def test_io_failure_is_1(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "x.csv"
         assert main(["enumerate", "--n", "1", "--out", str(out)]) == 1

@@ -308,6 +308,16 @@ class TestPinnedExportDigests:
             "3892f81b149e4f295b4f657f9ae681cc51e206717558533a21324d818e288fb3"
         )
 
+    def test_curve_n31_csv(self, curve31):
+        assert _sha256(tm.export_curve(curve31)) == (
+            "cb3b0b10d2bef686bbe45d28b7d5d490f65ad6455ec3124ce702777a8d188d06"
+        )
+
+    def test_curve_n31_json(self, curve31):
+        assert _sha256(tm.export_curve(curve31, "json")) == (
+            "14b5f122e69826eb79ba70311533fe190ed67bd30f18579c4c518c9429c60dd1"
+        )
+
     def test_histogram_csv(self):
         h = tm.shape_histogram(200000, 64, 0)
         assert _sha256(tm.export_histogram(h)) == (
