@@ -87,13 +87,18 @@ def shape_of(key: SimilarityKey) -> ShapeTriple:
 LABELED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
+def shape_cells(v, bins: int) -> np.ndarray:
+    """int64 cell indices floor(v * bins) of coordinates v in [0, 1], 1.0 in
+    the last cell: the one cell rule of the shape_grid mesh."""
+    return np.clip((v * bins).astype(np.int64), 0, bins - 1)
+
+
 def shape_grid(x, y, bins: int, weights=None) -> np.ndarray:
     """int64 bins x bins grid of the points (x, y) of [0, 1]^2: cell (i, j)
-    holds the points with floor(x * bins) = i and floor(y * bins) = j, 1.0
-    in the last cell.  A point counts 1, or its integer weight, exact while
-    the total stays below 2^53."""
-    ix, iy = (np.clip((v * bins).astype(np.int64), 0, bins - 1) for v in (x, y))
-    grid = np.bincount(ix * bins + iy, weights, minlength=bins * bins)
+    holds the points whose shape_cells are i and j.  A point counts 1, or
+    its integer weight, exact while the total stays below 2^53."""
+    cells = shape_cells(x, bins) * bins + shape_cells(y, bins)
+    grid = np.bincount(cells, weights, minlength=bins * bins)
     return grid.astype(np.int64, copy=False).reshape(bins, bins)
 
 

@@ -22,14 +22,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_int_range
-from .moduli import LABELED_PAIRS, MAX_BINS, normalized_sides, shape_grid
+from .errors import check_int_range, check_real
+from .moduli import LABELED_PAIRS, MAX_BINS, normalized_sides, shape_cells, shape_grid
 from .parallel import map_ordered, worker_count
 from .rng import BLOCK_SAMPLES, block_generator, block_sizes, check_seed
 
 OBTUSE_MARGIN = 1e-15  # squared-length slack; ties count as not obtuse
 
 MIN_SAMPLES = 1000
+
+# the labeled pairs with i < j; the other half of LABELED_PAIRS are these
+# swapped, so a labeled grid is H + H^T of their half-grid H
+HALF_PAIRS = tuple((i, j) for i, j in LABELED_PAIRS if i < j)
 
 
 def langford_obtuse_probability() -> float:
@@ -46,7 +50,9 @@ def unit_square_mean_distance() -> float:
 
 @dataclass(frozen=True, slots=True)
 class McEstimate:
-    """A Monte Carlo estimate with its standard error."""
+    """A Monte Carlo estimate with its standard error: a finite mean, a
+    finite std_error >= 0, samples >= 1 and a 64-bit seed (GuardError
+    otherwise)."""
 
     mean: float
     std_error: float
@@ -54,10 +60,12 @@ class McEstimate:
     seed: int
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be positive, got {self.samples}")
-        if self.std_error < 0:
-            raise ValueError(f"std_error cannot be negative, got {self.std_error}")
+        object.__setattr__(self, "mean", check_real(self.mean, "mean"))
+        object.__setattr__(self, "std_error", check_real(self.std_error, "std_error", 0.0))
+        object.__setattr__(
+            self, "samples", check_int_range(self.samples, "samples", 1, sys.maxsize)
+        )
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(eq=False)
@@ -66,9 +74,12 @@ class Histogram2D:
 
     counts is the moduli.shape_grid of the projections, ix from the first
     coordinate.  In labeled mode every sample contributes its 6 labeled
-    projections; in sorted mode just the moduli representative.
-    obtuse_count counts obtuse samples (not projections) for consistency
-    checks against the obtuse estimator.
+    projections, so counts is symmetric: shape_histogram bins the 3
+    HALF_PAIRS projections into a half-grid H and adds H^T once, after the
+    blocks are summed.  In sorted mode every sample contributes just the
+    moduli representative.  obtuse_count counts obtuse samples (not
+    projections), in [0, samples], for consistency checks against the
+    obtuse estimator.
     """
 
     counts: np.ndarray
@@ -82,12 +93,17 @@ class Histogram2D:
     def __post_init__(self):
         if self.counts.shape != (self.bin_count, self.bin_count):
             raise ValueError("counts grid does not match bin_count")
+        self.obtuse_count = check_int_range(
+            self.obtuse_count, "obtuse_count", 0, self.samples
+        )
         self.total = int(self.counts.sum())
         expected = self.samples * (6 if self.labeled else 1)
         if self.total != expected:
             raise ValueError(
                 f"histogram holds {self.total} points, expected {expected}"
             )
+        if self.labeled and not np.array_equal(self.counts, self.counts.T):
+            raise ValueError("labeled counts must be symmetric")
 
 
 def _triangle_uniforms(gen: np.random.Generator, count: int) -> np.ndarray:
@@ -171,18 +187,22 @@ def mean_pair_distance(samples: int, seed: int) -> McEstimate:
 def _histogram_block(
     seed: int, index: int, size: int, bins: int, labeled: bool
 ) -> tuple[np.ndarray, int]:
+    """One block's shape grid and obtuse count.  In labeled mode the grid is
+    the half-grid of the HALF_PAIRS projections, from the cells of each side
+    binned once; shape_histogram folds the other half in at the end."""
     gen = block_generator(seed, index)
     u = _triangle_uniforms(gen, size)
     ab, bc, ca = _squared_sides_cols(u)
     obtuse = int(np.count_nonzero(_obtuse_mask(ab, bc, ca)))
-    sides = normalized_sides(ab, bc, ca)
+    a, b, c = normalized_sides(ab, bc, ca)
     if labeled:
-        x = np.concatenate([sides[i] for i, _ in LABELED_PAIRS])
-        y = np.concatenate([sides[j] for _, j in LABELED_PAIRS])
-    else:
-        tri = np.sort(np.stack(sides, axis=1), axis=1)
-        x, y = tri[:, 0], tri[:, 1]
-    return shape_grid(x, y, bins), obtuse
+        k = [shape_cells(side, bins) for side in (a, b, c)]
+        cells = np.concatenate([k[i] * bins + k[j] for i, j in HALF_PAIRS])
+        return np.bincount(cells, minlength=bins * bins).reshape(bins, bins), obtuse
+    # the smallest and the middle side, selected exactly as a sort would
+    lo = np.minimum(np.minimum(a, b), c)
+    mid = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+    return shape_grid(lo, mid, bins), obtuse
 
 
 def shape_histogram(
@@ -193,6 +213,8 @@ def shape_histogram(
     bins = check_int_range(bins, "bins", 2, MAX_BINS)
     seed = check_seed(seed)
     grid, obtuse = _fold_blocks(_histogram_block, samples, seed, bins, labeled)
+    if labeled:
+        grid = grid + grid.T
     return Histogram2D(
         counts=grid,
         bin_count=bins,

@@ -134,19 +134,26 @@ def export_approximant(target: ShapeTriple, eps: float, tri: LatticeTriangle) ->
 
 
 def export_histogram(h: Histogram2D, fmt: str = "csv") -> str:
-    """Serialize a shape histogram; only nonzero cells are written."""
+    """Serialize a shape histogram; only nonzero cells are written, CSV rows
+    formatted from the cell columns CHECK_ROWS at a time."""
     mode = "labeled" if h.labeled else "sorted"
     ix, iy = np.nonzero(h.counts)
-    cells = [list(c) for c in zip(ix.tolist(), iy.tolist(), h.counts[ix, iy].tolist())]
+    counts = h.counts[ix, iy]
     if fmt == "csv":
-        lines = [
-            f"# schema: {HISTOGRAM_SCHEMA}",
+        head = (
+            f"# schema: {HISTOGRAM_SCHEMA}\n"
             f"# bins={h.bin_count} samples={h.samples} seed={h.seed} mode={mode} "
-            f"total={h.total} obtuse_count={h.obtuse_count}",
-            "ix,iy,count",
-        ]
-        lines.extend(f"{i},{j},{count}" for i, j, count in cells)
-        return "\n".join(lines) + "\n"
+            f"total={h.total} obtuse_count={h.obtuse_count}\n"
+            "ix,iy,count\n"
+        )
+        rows = (
+            "".join(map(
+                lambda i, j, count: f"{i},{j},{count}\n",
+                *(col[k : k + CHECK_ROWS].tolist() for col in (ix, iy, counts)),
+            ))
+            for k in range(0, len(counts), CHECK_ROWS)
+        )
+        return "".join((head, *rows))
     if fmt == "json":
         return _json_doc(
             HISTOGRAM_SCHEMA,
@@ -156,7 +163,7 @@ def export_histogram(h: Histogram2D, fmt: str = "csv") -> str:
             mode=mode,
             total=h.total,
             obtuse_count=h.obtuse_count,
-            entries=cells,
+            entries=list(map(list, zip(ix.tolist(), iy.tolist(), counts.tolist()))),
         )
     raise GuardError(f"unsupported histogram format {fmt!r}")
 

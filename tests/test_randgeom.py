@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 import trimoduli as tm
+from trimoduli import randgeom
+from trimoduli.moduli import LABELED_PAIRS, normalized_sides, shape_grid
+from trimoduli.rng import block_generator
 
 
 @pytest.mark.parametrize(
@@ -188,6 +191,10 @@ class TestHistogram:
         with pytest.raises(tm.GuardError):
             tm.shape_histogram(1_000, 5_000, 0)
 
+    def test_labeled_grid_is_symmetric(self):
+        h = tm.shape_histogram(70_000, 12, 9)
+        assert np.array_equal(h.counts, h.counts.T)
+
     def test_total_validation(self):
         with pytest.raises(ValueError):
             tm.Histogram2D(
@@ -199,6 +206,49 @@ class TestHistogram:
                 obtuse_count=0,
             )
 
+    @pytest.mark.parametrize("obtuse_count", [-1, 2, 7])
+    def test_obtuse_count_outside_samples_rejected(self, obtuse_count):
+        counts = np.zeros((2, 2), dtype=np.int64)
+        counts[1, 1] = 6
+        with pytest.raises(tm.GuardError):
+            tm.Histogram2D(counts, 2, 1, 0, True, obtuse_count=obtuse_count)
+
+    def test_asymmetric_labeled_counts_rejected(self):
+        counts = np.array([[0, 6], [0, 0]], dtype=np.int64)
+        assert tm.Histogram2D(counts, 2, 6, 0, False, obtuse_count=0).total == 6
+        with pytest.raises(ValueError, match="symmetric"):
+            tm.Histogram2D(counts, 2, 1, 0, True, obtuse_count=0)
+
+
+def _reference_block(seed, index, size, bins, labeled):
+    """The binning the kernel replaced: shape_grid over the six concatenated
+    float projections, or over the np.sort of the sides in sorted mode."""
+    u = randgeom._triangle_uniforms(block_generator(seed, index), size)
+    ab, bc, ca = randgeom._squared_sides_cols(u)
+    obtuse = int(np.count_nonzero(randgeom._obtuse_mask(ab, bc, ca)))
+    sides = normalized_sides(ab, bc, ca)
+    if labeled:
+        x = np.concatenate([sides[i] for i, _ in LABELED_PAIRS])
+        y = np.concatenate([sides[j] for _, j in LABELED_PAIRS])
+    else:
+        tri = np.sort(np.stack(sides, axis=1), axis=1)
+        x, y = tri[:, 0], tri[:, 1]
+    return shape_grid(x, y, bins), obtuse
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "sorted"])
+@pytest.mark.parametrize("size", [1, 5, tm.BLOCK_SAMPLES])
+@pytest.mark.parametrize("bins", [2, 7, 64, 4096])
+def test_histogram_block_matches_reference(bins, size, labeled):
+    # a labeled block holds the half-grid H; shape_histogram adds H^T at the end
+    for seed, index in ((0, 0), (3, 1), (-5, 152)):
+        grid, obtuse = randgeom._histogram_block(seed, index, size, bins, labeled)
+        if labeled:
+            grid = grid + grid.T
+        ref_grid, ref_obtuse = _reference_block(seed, index, size, bins, labeled)
+        assert np.array_equal(grid, ref_grid)
+        assert obtuse == ref_obtuse
+
 
 class TestMcEstimate:
     def test_validation(self):
@@ -206,3 +256,24 @@ class TestMcEstimate:
             tm.McEstimate(mean=0.5, std_error=-0.1, samples=10, seed=0)
         with pytest.raises(ValueError):
             tm.McEstimate(mean=0.5, std_error=0.1, samples=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"mean": math.nan},
+            {"mean": math.inf},
+            {"std_error": math.inf},
+            {"std_error": math.nan},
+            {"mean": "0.5"},
+            {"samples": True},
+            {"samples": 10.0},
+            {"seed": True},
+            {"seed": 1 << 64},
+        ],
+        ids=repr,
+    )
+    def test_fields_outside_their_range_rejected(self, fields):
+        # mean=nan, std_error=inf would export as NaN and Infinity, which are not JSON
+        good = {"mean": 0.5, "std_error": 0.1, "samples": 10, "seed": 0}
+        with pytest.raises(tm.GuardError):
+            tm.McEstimate(**{**good, **fields})

@@ -323,3 +323,27 @@ class TestPinnedExportDigests:
         assert _sha256(tm.export_histogram(h)) == (
             "af09281a3f36e79e9bf97b437feb7ce7ebfb561eb9a423e023701b44a15cc107"
         )
+
+    def test_histogram_sorted_csv(self):
+        h = tm.shape_histogram(200000, 64, 0, labeled=False)
+        assert _sha256(tm.export_histogram(h)) == (
+            "dae0890d861094625243ef47d197c0996721859c90e0c9f100d9f5b37a3edd76"
+        )
+
+    def test_histogram_json(self):
+        h = tm.shape_histogram(200000, 64, 0)
+        assert _sha256(tm.export_histogram(h, "json")) == (
+            "55d47fe31db68bca3b94fb8f7c1394a2e9596a696a434296be604da1e8b55553"
+        )
+
+    @pytest.mark.parametrize(
+        "labeled, digest",
+        [
+            (True, "022b8b12c3a8663d46f0f32a0f24c77e0eaee142aecab517f992b38f9ebfa724"),
+            (False, "7871c657148cfaa59a482bc68566702a519a1347b33c352be5f2e034003760e6"),
+        ],
+        ids=["labeled", "sorted"],
+    )
+    def test_histogram_4096_bins_csv(self, labeled, digest):
+        h = tm.shape_histogram(70000, 4096, 5, labeled=labeled)
+        assert _sha256(tm.export_histogram(h)) == digest
