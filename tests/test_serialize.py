@@ -303,6 +303,13 @@ class TestPinnedExportDigests:
             "51ab0515cece5d425a40f42266a9cd0a3dd0d46981783dd56e0a6a49d148f78b"
         )
 
+    def test_census_n31_json(self, s31):
+        text = tm.export_weighted_set(s31, "json")
+        assert len(text) == 284_405_915
+        assert _sha256(text) == (
+            "564212fc8b3926a75772bd981c5ff81f1459af0912ecac5ee5b069b443509af8"
+        )
+
     def test_curve_n5_csv(self):
         assert _sha256(tm.export_curve(tm.obtuse_curve(5))) == (
             "3892f81b149e4f295b4f657f9ae681cc51e206717558533a21324d818e288fb3"
