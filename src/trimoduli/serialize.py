@@ -4,6 +4,11 @@ Byte-for-byte reproducibility is part of the contract: rows are emitted in
 a canonical order (weighted sets by ascending (p, q, r)), floats use
 shortest round-trip repr, newlines are '\\n', and every file starts with a
 schema tag.  Identical inputs produce identical bytes on any platform.
+
+Weighted-set and histogram rows are written CHECK_ROWS at a time as numpy
+byte blocks.  Weighted-set floats come from an exact uint64 kernel that
+reproduces repr's shortest round-trip digits for every float in [1e-4, 1),
+where each census coordinate at n <= 64 lies, and from repr itself elsewhere.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .errors import GuardError
 from .lattice import LatticeTriangle, similarity_key
 from .moduli import (
     CHECK_ROWS,
-    ModuliRegion,
     ShapeTriple,
     WeightedShapeSet,
     normalized_sides,
@@ -34,23 +38,38 @@ ESTIMATE_SCHEMA = "trimoduli.mc-estimate.v1"
 HISTOGRAM_SCHEMA = "trimoduli.histogram.v1"
 APPROX_SCHEMA = "trimoduli.approximant.v1"
 
-# Each weighted-set format: head, row (an f-string, faster than str.format), row separator,
-# tail and row pattern.  A CSV row leads with its newline, so an empty census ends at the
-# header; JSON keys are in sort_keys order, as in json.dumps.
+# Each weighted-set format: head, row template, tail and row pattern.  A template is the
+# row separator (dropped before the first row), then literal text and, by index, the
+# fields of _wset_fields.  JSON keys are in sort_keys order, as in json.dumps.
+P, Q, R, W, ANGLE, A, B, C = range(8)
 _WSET_FORMATS = {
     "csv": (
-        "# schema: {schema}\np,q,r,weight,angle_class,a,b,c",
-        lambda p, q, r, w, ang, a, b, c: f"\n{p},{q},{r},{w},{ang},{a!r},{b!r},{c!r}", "", "\n",
+        "# schema: {schema}\np,q,r,weight,angle_class,a,b,c\n",
+        ("", P, ",", Q, ",", R, ",", W, ",", ANGLE, ",", A, ",", B, ",", C, "\n"),
+        "",
         re.compile(r"^(\d+),(\d+),(\d+),(\d+),", re.M),
     ),
     "json": (
         '{{"distinct_count": {n}, "entries": [',
-        lambda p, q, r, w, ang, a, b, c: f'{{"a": {a!r}, "angle_class": "{ang}", "b": {b!r}, '
-        f'"c": {c!r}, "p": {p}, "q": {q}, "r": {r}, "weight": {w}}}', ", ",
+        (", ", '{"a": ', A, ', "angle_class": "', ANGLE, '", "b": ', B, ', "c": ', C,
+         ', "p": ', P, ', "q": ', Q, ', "r": ', R, ', "weight": ', W, "}"),
         '], "schema": "{schema}", "total_weight": {t}}}\n',
         re.compile(r'"p": (\d+), "q": (\d+), "r": (\d+), "weight": (\d+)'),
     ),
 }
+
+# The rows are written as byte blocks: one uint8 row per byte position of the
+# text row and one column per row, NUL where a field is shorter than its width.
+_POW10 = np.uint64(10) ** np.arange(20, dtype=np.uint64)
+# the angle_class names by np.sign(r - p - q) + 1, one column each
+_ANGLES = np.array([b"acute", b"right", b"obtuse"]).view(np.uint8).reshape(3, -1).T
+# by binary exponent e = -13..0 of a float x = m 2^(e - 53) in [1e-4, 1): the
+# decimal scale K, the largest with 2^e 10^K <= 2^63, so 2^62 / 10 < x 10^K < 2^63;
+# 5^K < 2^52; and t = 55 - e - K, so that x 10^K = 4m 5^K / 2^t
+_FLOAT_K = np.array([len(str(1 << (63 - e))) - 1 for e in range(-13, 1)], dtype=np.uint64)
+_FLOAT_5K = np.uint64(5) ** _FLOAT_K
+_FLOAT_T = np.arange(68, 54, -1, dtype=np.uint64) - _FLOAT_K
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _json_doc(schema: str, **body) -> str:
@@ -58,9 +77,116 @@ def _json_doc(schema: str, **body) -> str:
     return json.dumps({"schema": schema, **body}, sort_keys=True) + "\n"
 
 
-def _angle_names(p, q, r) -> np.ndarray:
-    out = np.where(ModuliRegion.OBTUSE_ALL.key_mask(p, q, r), "obtuse", "right")
-    return np.where(ModuliRegion.ACUTE.key_mask(p, q, r), "acute", out)
+def _literal(text: str, n: int) -> np.ndarray:
+    return np.broadcast_to(np.frombuffer(text.encode(), np.uint8)[:, None], (len(text), n))
+
+
+def _int_bytes(v) -> np.ndarray:
+    """Decimal digits of nonnegative integers, right-aligned with NUL for the
+    leading zeros, as many byte rows as the largest has digits."""
+    v = np.array(v, dtype=np.uint64)
+    width = len(str(int(v.max())))
+    out = np.empty((width, len(v)), np.uint8)
+    rest = v
+    for k in range(width - 1, -1, -1):
+        # x // 10 by a scalar is several times faster than np.divmod
+        tens = rest // 10
+        out[k] = rest - tens * 10
+        rest = tens
+    out += 48
+    out[:-1] *= v >= _POW10[width - 1 : 0 : -1, None]
+    return out
+
+
+def _mul_shift(v, f, t):
+    """floor(v f / 2^t) and v f mod 2^t of uint64 columns, for v < 2^56,
+    f < 2^52, t < 64 and a quotient below 2^64: the product in 32-bit limbs."""
+    vh, vl, fh, fl = v >> 32, v & _LOW32, f >> 32, f & _LOW32
+    mid = vh * fl + vl * fh
+    lo = vl * fl
+    low = lo + (mid << 32)  # the low 64 bits of the product, wrapped
+    high = vh * fh + (mid >> 32) + (low < lo)
+    return (high << (64 - t)) | (low >> t), low & ((1 << t) - 1)
+
+
+def _shortest_digits(x):
+    """The shortest decimal that reads back as x, for float64 x in [1e-4, 1),
+    nearest to x and ties to even, as repr prints it (Steele & White 1990;
+    Adams 2018): uint64 digits q without trailing zeros and the number of
+    zeros between the decimal point and them, all exact in uint64."""
+    mant, exp = np.frexp(x)
+    m = (mant * 2.0**53).astype(np.uint64)
+    i = (exp + 13).astype(np.intp)
+    k, f, t = _FLOAT_K[i], _FLOAT_5K[i], _FLOAT_T[i]
+    # x 10^K = xk + r / 2^t, and the midpoints to the neighbours of x lie
+    # g = 2 5^K / 2^t above and below it.  As (2m +- 1) 5^K / 2^(t - 1) they
+    # are never integers, so the integers that read back as x are
+    # floor(x 10^K - g) + 1 .. floor(x 10^K + g), whatever the parity of m.
+    # (Below x = 2^-i the midpoint is g / 2 away, but x 10^K = 5^i 10^(K - i),
+    # i <= 13, has far fewer digits than any other candidate in reach.)
+    xk, r = _mul_shift(4 * m, f, t)
+    low = (1 << t) - 1
+    g, g_r = (2 * f) >> t, (2 * f) & low
+    lo = xk - g - (r < g_r) + 1
+    hi = xk + g + ((r + g_r) >> t)
+    # the largest power of ten 10^j with a multiple in [lo, hi]
+    j = np.zeros(len(m), np.uint64)
+    rows, up, down = np.arange(len(m)), lo, hi
+    while rows.size:
+        up, down = (up + 9) // 10, down // 10
+        keep = up <= down
+        rows, up, down = rows[keep], up[keep], down[keep]
+        j[rows] += 1
+    # the multiple q 10^j nearest to x 10^K, ties to even: [lo, hi] is
+    # symmetric about x 10^K, so it holds the nearest multiple when it holds one
+    d = _POW10[j]
+    q = xk // d
+    rem, half = xk - q * d, d // 2
+    q += (rem > half) | ((rem == half) & ((r > 0) | ((q & 1) == 1)))
+    # 10^17 < lo <= q 10^j <= hi < 2^63: q 10^j has 18 or 19 digits
+    return q, k - 18 - (q * d >= _POW10[18])
+
+
+def _float_bytes(x) -> np.ndarray:
+    """Shortest round-trip repr of float64 values: the exact kernel in
+    [1e-4, 1), repr one by one elsewhere."""
+    n = len(x)
+    inside = (x >= 1e-4) & (x < 1.0)
+    q, zeros = _shortest_digits(np.where(inside, x, 0.5))
+    field = np.concatenate((
+        _literal("0.", n),
+        np.where(np.arange(3, dtype=np.uint64)[:, None] < zeros, np.uint8(48), np.uint8(0)),
+        _int_bytes(q),
+    ))
+    if not inside.all():
+        texts = [repr(v).encode() for v in x[~inside].tolist()]
+        width = max(len(field), *map(len, texts))
+        field = np.pad(field, ((0, width - len(field)), (0, 0)))
+        flat = b"".join(text.ljust(width, b"\0") for text in texts)
+        field[:, ~inside] = np.frombuffer(flat, np.uint8).reshape(-1, width).T
+    return field
+
+
+def _rows_text(template, fields) -> str:
+    """Rows of the template's literals and field blocks, stacked into one
+    byte block and written out row by row without its NULs."""
+    n = fields[0].shape[1]
+    parts = [_literal(part, n) if isinstance(part, str) else fields[part] for part in template]
+    # byte rows 64 bytes longer than the chunk: at a power-of-two stride such
+    # as 2^16 the bytes of one text row share a cache set, and the
+    # transposing copy below runs 5x slower
+    block = np.empty((sum(map(len, parts)), n + 64), np.uint8)[:, :n]
+    np.concatenate(parts, out=block)
+    return block.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _wset_fields(p, q, r, w):
+    """Byte blocks of the weighted-set fields, indexed by P, Q, ... C."""
+    return (
+        *map(_int_bytes, (p, q, r, w)),
+        _ANGLES[:, np.sign(r - p - q) + 1],
+        *map(_float_bytes, normalized_sides(p, q, r)),
+    )
 
 
 def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:
@@ -68,17 +194,16 @@ def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:
     CHECK_ROWS at a time."""
     if fmt not in _WSET_FORMATS:
         raise GuardError(f"unsupported weighted-set format {fmt!r}")
-    head, row, sep, tail, _ = _WSET_FORMATS[fmt]
+    head, row, tail, _ = _WSET_FORMATS[fmt]
+    cols = s.columns()
 
-    def chunks(p, q, r, w):
-        for i in range(0, len(w), CHECK_ROWS):
-            ps, qs, rs, ws = (col[i : i + CHECK_ROWS] for col in (p, q, r, w))
-            # tolist() gives Python scalars, so !r prints bare shortest round-trip floats
-            cols = (ps, qs, rs, ws, _angle_names(ps, qs, rs), *normalized_sides(ps, qs, rs))
-            yield sep.join(map(row, *(col.tolist() for col in cols)))
+    def chunks():
+        for i in range(0, len(s), CHECK_ROWS):
+            text = _rows_text(row, _wset_fields(*(col[i : i + CHECK_ROWS] for col in cols)))
+            yield text if i else text[len(row[0]) :]
 
     frame = {"schema": WSET_SCHEMA, "n": len(s), "t": s.total_weight}
-    return "".join((head.format(**frame), sep.join(chunks(*s.columns())), tail.format(**frame)))
+    return "".join((head.format(**frame), *chunks(), tail.format(**frame)))
 
 
 def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
@@ -88,7 +213,7 @@ def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
     if fmt not in _WSET_FORMATS:
         raise GuardError(f"unsupported weighted-set format {fmt!r}")
     try:
-        rows = np.array(_WSET_FORMATS[fmt][4].findall(text), dtype=np.int64).reshape(-1, 4)
+        rows = np.array(_WSET_FORMATS[fmt][3].findall(text), dtype=np.int64).reshape(-1, 4)
         s = WeightedShapeSet.from_columns(*rows.T)
     except (ValueError, OverflowError) as exc:
         raise GuardError(f"text is not a {fmt} weighted-set export: {exc}") from None
@@ -147,10 +272,10 @@ def export_histogram(h: Histogram2D, fmt: str = "csv") -> str:
             "ix,iy,count\n"
         )
         rows = (
-            "".join(map(
-                lambda i, j, count: f"{i},{j},{count}\n",
-                *(col[k : k + CHECK_ROWS].tolist() for col in (ix, iy, counts)),
-            ))
+            _rows_text(
+                ("", 0, ",", 1, ",", 2, "\n"),
+                [_int_bytes(col[k : k + CHECK_ROWS]) for col in (ix, iy, counts)],
+            )
             for k in range(0, len(counts), CHECK_ROWS)
         )
         return "".join((head, *rows))

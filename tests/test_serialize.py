@@ -7,8 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trimoduli as tm
+from trimoduli import serialize
 from trimoduli.moduli import normalized_sides
 
 UNIT_SQUARE_CSV = (
@@ -177,6 +180,77 @@ class TestWeightedSetRowTemplate:
         bad = text[: end - 1] + str((int(text[end - 1]) + 1) % 10) + text[end:]
         with pytest.raises(tm.GuardError):
             tm.read_weighted_set(bad, fmt)
+
+
+def _float_texts(values):
+    """The float field text of each value, as the row writer prints it."""
+    field = serialize._float_bytes(np.array(values, dtype=np.float64))
+    return [bytes(col).replace(b"\0", b"").decode() for col in field.T]
+
+
+def _float_neighbours(x, below, above):
+    """The floats from `below` steps under x to `above` steps over it."""
+    bits = np.float64(x).view(np.int64) + np.arange(-below, above + 1)
+    return bits.view(np.float64).tolist()
+
+
+def _kernel_edge_cases():
+    dyadic = [k / 2**e for e in range(1, 31) for k in range(1, 2**e, max(1, 2**e // 600)) if k % 2]
+    uniform = np.random.default_rng(7).uniform(1e-4, 1.0, 2000).tolist()
+    return {
+        "powers-of-two": [2.0**-e for e in range(1, 14)],
+        "powers-of-ten": sum((_float_neighbours(x, 40, 40) for x in (1e-4, 1e-3, 1e-2, 1e-1)), []),
+        "below-one": _float_neighbours(np.nextafter(1.0, 0.0), 1000, 0),
+        "dyadic": [x for x in dyadic if x >= 1e-4],
+        "decimals": [round(x, d) for d in range(1, 8) for x in uniform],
+    }
+
+
+class TestShortestFloatKernel:
+    """The row writer prints floats as repr does: by an exact uint64 kernel
+    in [1e-4, 1), by repr itself elsewhere."""
+
+    @given(st.lists(st.floats(min_value=1e-4, max_value=1.0, exclude_max=True), min_size=1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_repr_in_the_kernel_domain(self, values):
+        assert _float_texts(values) == [repr(x) for x in values]
+
+    @pytest.mark.parametrize("name", sorted(_kernel_edge_cases()))
+    def test_equals_repr_on_edge_cases(self, name):
+        values = [x for x in _kernel_edge_cases()[name] if x < 1.0]
+        assert len(values) > 10 or name == "powers-of-two"
+        assert _float_texts(values) == [repr(x) for x in values]
+
+    def test_values_outside_the_domain_are_printed_by_repr(self):
+        values = [1e-4, 9.999999999999999e-05, 3.0517578125e-05, 1.0, 5e-324, 0.5]
+        assert _float_texts(values) == [repr(x) for x in values]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [((1, (1 << 30) - 1, (1 << 30) - 1), (1 << 63) - 1)],
+            [((1, 1, 2), 1), ((1, (1 << 30) - 1, (1 << 30) - 1), (1 << 63) - 2)],
+        ],
+        ids=["alone", "beside-a-census-row"],
+    )
+    def test_rows_outside_the_domain_match_the_row_formula(self, rows):
+        # the side a = 2 / (1 + 2 sqrt(2^30 - 1)) ~ 3.05e-5 prints in exponent form
+        keys, weights = zip(*rows)
+        s = tm.WeightedShapeSet.from_columns(*np.array(keys).T, np.array(weights))
+        assert s.total_weight == (1 << 63) - 1
+        csv_rows, json_rows = [], []
+        for (p, q, r), w in rows:
+            a, b, c = (float(x) for x in normalized_sides(p, q, r))
+            ang = "obtuse" if r > p + q else "right" if r == p + q else "acute"
+            csv_rows.append(f"{p},{q},{r},{w},{ang},{a!r},{b!r},{c!r}")
+            json_rows.append(
+                f'{{"a": {a!r}, "angle_class": "{ang}", "b": {b!r}, '
+                f'"c": {c!r}, "p": {p}, "q": {q}, "r": {r}, "weight": {w}}}'
+            )
+        assert "e-05" in csv_rows[-1]
+        assert tm.export_weighted_set(s, "csv").splitlines()[2:] == csv_rows
+        assert f'"entries": [{", ".join(json_rows)}]' in tm.export_weighted_set(s, "json")
+        assert tm.export_weighted_set(s, "json") == _json_by_dicts(s)
 
 
 def _listing(rows, fmt):
