@@ -40,7 +40,7 @@ APPROX_SCHEMA = "trimoduli.approximant.v1"
 
 # Each weighted-set format: head, row template, tail and row pattern.  A template is the
 # row separator (dropped before the first row), then literal text and, by index, the
-# fields of _wset_fields.  JSON keys are in sort_keys order, as in json.dumps.
+# fields of the row.  JSON keys are in sort_keys order, as in json.dumps.
 P, Q, R, W, ANGLE, A, B, C = range(8)
 _WSET_FORMATS = {
     "csv": (
@@ -167,26 +167,26 @@ def _float_bytes(x) -> np.ndarray:
     return field
 
 
-def _rows_text(template, fields) -> str:
-    """Rows of the template's literals and field blocks, stacked into one
-    byte block and written out row by row without its NULs."""
-    n = fields[0].shape[1]
-    parts = [_literal(part, n) if isinstance(part, str) else fields[part] for part in template]
-    # byte rows 64 bytes longer than the chunk: at a power-of-two stride such
-    # as 2^16 the bytes of one text row share a cache set, and the
-    # transposing copy below runs 5x slower
-    block = np.empty((sum(map(len, parts)), n + 64), np.uint8)[:, :n]
-    np.concatenate(parts, out=block)
-    return block.T.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _wset_fields(p, q, r, w):
-    """Byte blocks of the weighted-set fields, indexed by P, Q, ... C."""
-    return (
-        *map(_int_bytes, (p, q, r, w)),
-        _ANGLES[:, np.sign(r - p - q) + 1],
-        *map(_float_bytes, normalized_sides(p, q, r)),
-    )
+def _rows_text(head: str, template, field_chunks, tail: str) -> str:
+    """head, the rows of each chunk of field blocks laid out by the template,
+    and tail.  A chunk's literals and fields are stacked into one byte block
+    and written out row by row without its NULs, onto one bytearray that is
+    decoded once: grown in place, it leaves no freed chunks among the
+    blocks' temporaries to raise the peak RSS of later calls."""
+    text = bytearray(head.encode())
+    skip = len(template[0])  # the row separator, dropped before the first row
+    for fields in field_chunks:
+        n = fields[0].shape[1]
+        parts = [_literal(part, n) if isinstance(part, str) else fields[part] for part in template]
+        # byte rows 64 bytes longer than the chunk: at a power-of-two stride
+        # such as 2^16 the bytes of one text row share a cache set, and the
+        # transposing copy below runs 5x slower
+        block = np.empty((sum(map(len, parts)), n + 64), np.uint8)[:, :n]
+        np.concatenate(parts, out=block)
+        text += block.T.tobytes().translate(None, b"\0")[skip:]
+        skip = 0
+    text += tail.encode()
+    return text.decode("ascii")
 
 
 def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:
@@ -197,13 +197,17 @@ def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:
     head, row, tail, _ = _WSET_FORMATS[fmt]
     cols = s.columns()
 
-    def chunks():
+    def field_chunks():
         for i in range(0, len(s), CHECK_ROWS):
-            text = _rows_text(row, _wset_fields(*(col[i : i + CHECK_ROWS] for col in cols)))
-            yield text if i else text[len(row[0]) :]
+            p, q, r, w = (col[i : i + CHECK_ROWS] for col in cols)
+            yield (  # indexed by P, Q, R, W, ANGLE, A, B, C
+                *map(_int_bytes, (p, q, r, w)),
+                _ANGLES[:, np.sign(r - p - q) + 1],
+                *map(_float_bytes, normalized_sides(p, q, r)),
+            )
 
     frame = {"schema": WSET_SCHEMA, "n": len(s), "t": s.total_weight}
-    return "".join((head.format(**frame), *chunks(), tail.format(**frame)))
+    return _rows_text(head.format(**frame), row, field_chunks(), tail.format(**frame))
 
 
 def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
@@ -271,14 +275,11 @@ def export_histogram(h: Histogram2D, fmt: str = "csv") -> str:
             f"total={h.total} obtuse_count={h.obtuse_count}\n"
             "ix,iy,count\n"
         )
-        rows = (
-            _rows_text(
-                ("", 0, ",", 1, ",", 2, "\n"),
-                [_int_bytes(col[k : k + CHECK_ROWS]) for col in (ix, iy, counts)],
-            )
+        field_chunks = (
+            [_int_bytes(col[k : k + CHECK_ROWS]) for col in (ix, iy, counts)]
             for k in range(0, len(counts), CHECK_ROWS)
         )
-        return "".join((head, *rows))
+        return _rows_text(head, ("", 0, ",", 1, ",", 2, "\n"), field_chunks, "")
     if fmt == "json":
         return _json_doc(
             HISTOGRAM_SCHEMA,
