@@ -150,20 +150,19 @@ def _shortest_digits(x):
 def _float_bytes(x) -> np.ndarray:
     """Shortest round-trip repr of float64 values: the exact kernel in
     [1e-4, 1), repr one by one elsewhere."""
-    n = len(x)
-    inside = (x >= 1e-4) & (x < 1.0)
-    q, zeros = _shortest_digits(np.where(inside, x, 0.5))
+    outside = ~((x >= 1e-4) & (x < 1.0))
+    q, zeros = _shortest_digits(np.where(outside, 0.5, x))
     field = np.concatenate((
-        _literal("0.", n),
+        _literal("0.", len(x)),
         np.where(np.arange(3, dtype=np.uint64)[:, None] < zeros, np.uint8(48), np.uint8(0)),
         _int_bytes(q),
     ))
-    if not inside.all():
-        texts = [repr(v).encode() for v in x[~inside].tolist()]
+    if outside.any():
+        texts = [repr(v).encode() for v in x[outside].tolist()]
         width = max(len(field), *map(len, texts))
         field = np.pad(field, ((0, width - len(field)), (0, 0)))
         flat = b"".join(text.ljust(width, b"\0") for text in texts)
-        field[:, ~inside] = np.frombuffer(flat, np.uint8).reshape(-1, width).T
+        field[:, outside] = np.frombuffer(flat, np.uint8).reshape(-1, width).T
     return field
 
 
