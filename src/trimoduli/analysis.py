@@ -10,8 +10,9 @@ The headline comparison puts three measures side by side per grid size n:
 The census tracking the random-triangle value rather than the uniform one
 is the non-equidistribution phenomenon; compare_to_uniform quantifies it
 in total variation over a bin grid.  The census, sampled and uniform
-grids share one mesh and one orbit order, moduli.shape_grid and
-moduli.LABELED_PAIRS.
+grids share one mesh and one orbit order: moduli.shape_grid bins each side
+once and counts the moduli.LABELED_PAIRS cells (the sampler's labeled
+blocks count the HALF_PAIRS half of them).
 
 obtuse_curve, obtuse_point and equidist_report build no census: their
 counts for every n up to n_max come from one pass over the box heights,
@@ -34,6 +35,7 @@ from .moduli import (
     MAX_BINS,
     ModuliRegion,
     WeightedShapeSet,
+    exact_sum,
     normalized_sides,
     shape_grid,
     uniform_bin_masses,
@@ -100,7 +102,7 @@ def curve_point_from_set(n: int, s: WeightedShapeSet) -> ObtuseCurvePoint:
     p, q, r, w = s.columns()
     obtuse = ModuliRegion.OBTUSE_ALL.key_mask(p, q, r)
     return ObtuseCurvePoint(
-        n, s.total_weight, len(s), int(w[obtuse].sum()), int(np.count_nonzero(obtuse))
+        n, s.total_weight, len(s), exact_sum(w[obtuse]), int(np.count_nonzero(obtuse))
     )
 
 
@@ -155,10 +157,20 @@ def orbit_projections(s: WeightedShapeSet) -> tuple[np.ndarray, np.ndarray, np.n
 
 def orbit_bin_masses(s: WeightedShapeSet, bins: int) -> np.ndarray:
     """Normalized bin masses of the labeled orbit projections of s on the
-    shape_grid mesh."""
+    shape_grid mesh.
+
+    Every class counts all 6 LABELED_PAIRS with its weight w times its
+    orbit size (6 scalene, 3 isosceles, 1 equilateral).  Each distinct
+    projection is among the 6 pairs 6 / size times, so it carries 6w: the
+    grid is exactly 6 times that of orbit_projections, and the masses are
+    the same floats."""
     bins = check_int_range(bins, "bins", 2, MAX_BINS)
-    x, y, w = orbit_projections(s)
-    grid = shape_grid(x, y, bins, w)
+    if len(s) == 0:
+        raise GuardError("empty census")
+    p, q, r, w = s.columns()
+    # indexed by the number of equal neighbours in the sorted triple
+    size = np.array([6, 3, 1])[(p == q).astype(np.int64) + (q == r)]
+    grid = shape_grid(normalized_sides(p, q, r), bins, LABELED_PAIRS, w * size)
     return grid / grid.sum()
 
 

@@ -85,19 +85,21 @@ def shape_of(key: SimilarityKey) -> ShapeTriple:
 # the labeled orbit order: projection k of a shape (a, b, c) takes its first
 # and second coordinate from the sides LABELED_PAIRS[k]
 LABELED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+# the labeled pairs with i < j; the other half of LABELED_PAIRS are these
+# swapped, so a labeled grid is H + H^T of their half-grid H
+HALF_PAIRS = tuple((i, j) for i, j in LABELED_PAIRS if i < j)
 
 
-def shape_cells(v, bins: int) -> np.ndarray:
-    """int64 cell indices floor(v * bins) of coordinates v in [0, 1], 1.0 in
-    the last cell: the one cell rule of the shape_grid mesh."""
-    return np.clip((v * bins).astype(np.int64), 0, bins - 1)
-
-
-def shape_grid(x, y, bins: int, weights=None) -> np.ndarray:
-    """int64 bins x bins grid of the points (x, y) of [0, 1]^2: cell (i, j)
-    holds the points whose shape_cells are i and j.  A point counts 1, or
-    its integer weight, exact while the total stays below 2^53."""
-    cells = shape_cells(x, bins) * bins + shape_cells(y, bins)
+def shape_grid(coords, bins: int, pairs=((0, 1),), weights=None) -> np.ndarray:
+    """int64 bins x bins grid of the points (coords[i], coords[j]) of
+    [0, 1]^2 for every (i, j) in pairs.  Each coordinate column is binned
+    once: v falls in cell floor(v * bins), 1.0 in the last cell.  A point
+    counts 1, or its integer weight (weights tiled once per pair), exact
+    while the total stays below 2^53."""
+    k = [np.clip((v * bins).astype(np.int64), 0, bins - 1) for v in coords]
+    cells = np.concatenate([k[i] * bins + k[j] for i, j in pairs])
+    if weights is not None:
+        weights = np.tile(np.asarray(weights, dtype=np.float64), len(pairs))
     grid = np.bincount(cells, weights, minlength=bins * bins)
     return grid.astype(np.int64, copy=False).reshape(bins, bins)
 
@@ -177,6 +179,17 @@ def uniform_target(region: ModuliRegion) -> float:
     return 1.0 - obtuse
 
 
+def exact_sum(w) -> int:
+    """Exact sum of an int64 column as a Python int.  An int64 sum can wrap,
+    so each CHECK_ROWS slice sums the high and low 32-bit halves of its
+    entries, each sum below 2^48 in magnitude."""
+    total = 0
+    for start in range(0, len(w), CHECK_ROWS):
+        ws = w[start : start + CHECK_ROWS]
+        total += (int((ws >> 32).sum()) << 32) + int((ws & 0xFFFFFFFF).sum())
+    return total
+
+
 class WeightedShapeSet:
     """Immutable weighted set of similarity classes (key -> multiplicity).
 
@@ -246,7 +259,7 @@ class WeightedShapeSet:
         for arr, name in ((p, "_p"), (q, "_q"), (r, "_r"), (w, "_w")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_total", int(w.sum()))
+        object.__setattr__(self, "_total", exact_sum(w))
 
     @property
     def total_weight(self) -> int:

@@ -23,17 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import check_int_range, check_real
-from .moduli import LABELED_PAIRS, MAX_BINS, normalized_sides, shape_cells, shape_grid
+from .moduli import HALF_PAIRS, MAX_BINS, normalized_sides, shape_grid
 from .parallel import map_ordered, worker_count
 from .rng import BLOCK_SAMPLES, block_generator, block_sizes, check_seed
 
 OBTUSE_MARGIN = 1e-15  # squared-length slack; ties count as not obtuse
 
 MIN_SAMPLES = 1000
-
-# the labeled pairs with i < j; the other half of LABELED_PAIRS are these
-# swapped, so a labeled grid is H + H^T of their half-grid H
-HALF_PAIRS = tuple((i, j) for i, j in LABELED_PAIRS if i < j)
 
 
 def langford_obtuse_probability() -> float:
@@ -73,13 +69,14 @@ class Histogram2D:
     """Binned mass of sampled shapes on the ab-plane region.
 
     counts is the moduli.shape_grid of the projections, ix from the first
-    coordinate.  In labeled mode every sample contributes its 6 labeled
-    projections, so counts is symmetric: shape_histogram bins the 3
-    HALF_PAIRS projections into a half-grid H and adds H^T once, after the
-    blocks are summed.  In sorted mode every sample contributes just the
-    moduli representative.  obtuse_count counts obtuse samples (not
-    projections), in [0, samples], for consistency checks against the
-    obtuse estimator.
+    coordinate: the helper that also builds the census orbit grid of
+    analysis.orbit_bin_masses.  In labeled mode every sample contributes
+    its 6 labeled projections, so counts is symmetric: each block bins the
+    3 moduli.HALF_PAIRS projections into a half-grid H, and shape_histogram
+    adds H^T once, after the blocks are summed.  In sorted mode every
+    sample contributes just the moduli representative (smallest, middle).
+    obtuse_count counts obtuse samples (not projections), in [0, samples],
+    for consistency checks against the obtuse estimator.
     """
 
     counts: np.ndarray
@@ -196,13 +193,11 @@ def _histogram_block(
     obtuse = int(np.count_nonzero(_obtuse_mask(ab, bc, ca)))
     a, b, c = normalized_sides(ab, bc, ca)
     if labeled:
-        k = [shape_cells(side, bins) for side in (a, b, c)]
-        cells = np.concatenate([k[i] * bins + k[j] for i, j in HALF_PAIRS])
-        return np.bincount(cells, minlength=bins * bins).reshape(bins, bins), obtuse
+        return shape_grid((a, b, c), bins, HALF_PAIRS), obtuse
     # the smallest and the middle side, selected exactly as a sort would
     lo = np.minimum(np.minimum(a, b), c)
     mid = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
-    return shape_grid(lo, mid, bins), obtuse
+    return shape_grid((lo, mid), bins), obtuse
 
 
 def shape_histogram(

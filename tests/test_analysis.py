@@ -153,6 +153,14 @@ class TestCurvePointFromSet:
         with pytest.raises(tm.GuardError):
             tm.curve_point_from_set(2, tm.WeightedShapeSet({}))
 
+    def test_obtuse_weight_is_exact_beyond_int64(self):
+        # an int64 sum of the two obtuse weights wraps to -2^63, which the
+        # point refused as an empty census
+        s = tm.WeightedShapeSet.from_columns([1, 1], [1, 2], [3, 5], [2**62, 2**62])
+        pt = tm.curve_point_from_set(2, s)
+        assert pt.obtuse_weight == pt.total_weight == 2**63
+        assert pt.weighted_fraction == 1.0
+
     def test_no_obtuse_weight_is_zero_not_error(self):
         s = tm.WeightedShapeSet({tm.SimilarityKey(1, 1, 2): 4})
         assert tm.curve_point_from_set(2, s).weighted_fraction == 0.0
@@ -275,11 +283,19 @@ class TestOrbitProjections:
         assert pairs == [(short, short), (short, long_), (long_, short)]
 
 
+# every orbit kind, with distinct weights: scalene, (a, a, c), (a, c, c) and
+# the equilateral class no lattice triangle has
+ALL_ORBIT_KINDS = tm.WeightedShapeSet({(9, 16, 25): 2, (1, 1, 2): 3, (1, 2, 2): 5, (1, 1, 1): 7})
+
+
 class TestOrbitBinMasses:
-    def test_equals_the_add_at_grid(self):
-        # the integer grid built point by point with np.add.at is the oracle
-        # for the weighted bincount of moduli.shape_grid
-        s, bins = tm.enumerate_weighted(8), 32
+    @pytest.mark.parametrize("bins", [2, 7, 32, 64, 4096])
+    @pytest.mark.parametrize("census", [4, 8, 16, "kinds"])
+    def test_equals_the_add_at_grid(self, census, bins):
+        # the integer grid of the distinct orbit projections, built point by
+        # point with np.add.at, is the oracle for the orbit-size weighted
+        # bincount of moduli.shape_grid
+        s = ALL_ORBIT_KINDS if census == "kinds" else tm.enumerate_weighted(census)
         x, y, w = tm.orbit_projections(s)
         ix = np.clip((x * bins).astype(np.int64), 0, bins - 1)
         iy = np.clip((y * bins).astype(np.int64), 0, bins - 1)
@@ -287,12 +303,20 @@ class TestOrbitBinMasses:
         np.add.at(grid, (ix, iy), w)
         assert np.array_equal(tm.orbit_bin_masses(s, bins), grid / grid.sum())
 
+    def test_empty_census_rejected(self):
+        # not a grid of NaN masses from 0 / 0
+        with pytest.raises(tm.GuardError, match="empty census"):
+            tm.orbit_bin_masses(tm.WeightedShapeSet({}), 8)
+        with pytest.raises(tm.GuardError, match="empty census"):
+            tm.compare_to_uniform(tm.WeightedShapeSet({}), 8)
+
     def test_weighted_bincount_is_exact_up_to_max_n(self):
         # bincount sums weights in float64, exact while every cell and the
-        # total stay below 2^53; the six projections of every triangle of
-        # the largest census are 6 * 767,568,546,000
+        # total stay below 2^53; every class counts its 6 labeled pairs at
+        # weight times orbit size <= 6, so the grid of the largest census
+        # holds at most 36 * 767,568,546,000
         assert enumeration._triangle_total(tm.MAX_N) == 767_568_546_000
-        assert 6 * enumeration._triangle_total(tm.MAX_N) < 2**53
+        assert 36 * enumeration._triangle_total(tm.MAX_N) < 2**53
         # obtuse_counts bincounts orbit and orbit * width per height in
         # float64, largest at h = 2 * MAX_N, and its int64 running sums
         # are bounded by N^2 A <= heights * sum orbit(2 * MAX_N) * N^2

@@ -1,5 +1,6 @@
 """Shape coordinates, closed-form measures, weighted shape sets."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimoduli as tm
-from trimoduli.moduli import CHECK_ROWS, KEY_BOUND, normalized_sides, shape_grid
+from trimoduli.moduli import CHECK_ROWS, KEY_BOUND, exact_sum, normalized_sides, shape_grid
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
@@ -159,17 +160,36 @@ class TestShapeGrid:
     @pytest.mark.parametrize("bins", [2, 7, 64])
     def test_cell_k_starts_at_k_over_bins(self, bins):
         k = np.arange(bins)
-        grid = shape_grid(k / bins, (bins - 1 - k) / bins, bins)
+        grid = shape_grid((k / bins, (bins - 1 - k) / bins), bins)
         assert grid.dtype == np.int64
         assert np.array_equal(grid, np.fliplr(np.eye(bins, dtype=np.int64)))
 
     def test_one_falls_in_the_last_cell(self):
-        grid = shape_grid(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 4, np.array([3, 5]))
+        grid = shape_grid(
+            (np.array([1.0, 0.0]), np.array([1.0, 1.0])), 4, weights=np.array([3, 5])
+        )
         assert grid.dtype == np.int64
         assert grid[3, 3] == 3 and grid[0, 3] == 5 and grid.sum() == 8
 
 
 class TestWeightedShapeSet:
+    def test_total_weight_is_exact_beyond_int64(self):
+        # an int64 sum of these weights wraps, to -2^63 and to 2^63 - 3
+        s = tm.WeightedShapeSet.from_columns([1, 1], [1, 1], [1, 2], [2**62, 2**62])
+        assert s.total_weight == 2**63
+        assert json.loads(tm.export_weighted_set(s, "json"))["total_weight"] == 2**63
+        heavy = (1 << 63) - 1
+        s = tm.WeightedShapeSet({(1, 1, 1): heavy, (1, 1, 2): heavy, (9, 16, 25): heavy})
+        assert s.total_weight == 3 * heavy
+
+    def test_exact_sum_across_slices(self):
+        # a CHECK_ROWS slice of int64 maxima wraps an int64 sum as well
+        heavy = (1 << 63) - 1
+        w = np.full(2 * CHECK_ROWS + 3, heavy, dtype=np.int64)
+        w[5] = -heavy - 1
+        assert exact_sum(w) == (2 * CHECK_ROWS + 1) * heavy - 1
+        assert exact_sum(w[:0]) == 0
+
     def test_from_mapping(self):
         s = tm.WeightedShapeSet({tm.SimilarityKey(1, 1, 2): 4})
         assert len(s) == 1

@@ -233,7 +233,7 @@ def _reference_block(seed, index, size, bins, labeled):
     else:
         tri = np.sort(np.stack(sides, axis=1), axis=1)
         x, y = tri[:, 0], tri[:, 1]
-    return shape_grid(x, y, bins), obtuse
+    return shape_grid((x, y), bins), obtuse
 
 
 @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "sorted"])
