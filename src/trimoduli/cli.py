@@ -8,10 +8,10 @@ and main writes that text to --out, or to stdout for '-'.
 Exit codes: 0 success, 2 usage errors (argparse), 3 violated guards
 (GuardError) or other invalid values (ValueError), 4 failed numeric
 post-conditions (PrecisionError), 1 I/O failures.  The Monte Carlo
-samplers run their blocks on threads of this process, so an exception
-raised in a block reaches main with its own type.  All outputs are
-deterministic for identical flags; TRIMODULI_THREADS only sets the sampler
-thread count (the census runs on one thread) and never changes bytes.
+sampler blocks, the census box heights and the export chunks run on
+threads of this process, so an exception raised in one reaches main with
+its own type.  All outputs are deterministic for identical flags;
+TRIMODULI_THREADS only sets the thread count and never changes bytes.
 """
 
 from __future__ import annotations

@@ -23,9 +23,10 @@ box is w x h, T(w, h) = 4(w-1)(h-1) + 2(w-1) + 2(h-1) + 4
 + 2((w+1)(h+1) - 3 - gcd(w, h)).  One per-height kernel, _box_keys,
 gives the rows of box height h, their sorted squared sides and their
 gcd-reduced packed keys.  The census weights those keys by translate
-count and merges the h-tables.  As a post-condition the total weight
-must equal C(N^2, 3) minus the collinear triples of the grid, or the run
-raises PrecisionError.  Squared sides are at most w^2 + h^2 <= 8 n^2, so
+count, one height per job on the threads of parallel.map_ordered, and
+merges the h-tables.  As a post-condition the total weight must equal
+C(N^2, 3) minus the collinear triples of the grid, or the run raises
+PrecisionError.  Squared sides are at most w^2 + h^2 <= 8 n^2, so
 keys pack into one int64 word.
 
 The obtuse curve needs no census per n, because the rows of height h
@@ -39,6 +40,7 @@ whose running sums are every n's distinct counts.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import sys
 from itertools import combinations
@@ -48,14 +50,22 @@ import numpy as np
 from .errors import GuardError, PrecisionError, check_int_range
 from .lattice import pack_key, reduced_triple, unpack_key
 from .moduli import ModuliRegion, WeightedShapeSet
+from .parallel import map_ordered, worker_count
 
 # The key count grows like n^4: 1.9 M at n = 31, 33.9 M at n = 64 (a
-# 1.9 GB peak) and about 200 M at n = 100, beyond a machine with 8 GB.
+# 1.7 GB peak at 1 or 2 threads; the merge of the height tables sets it)
+# and about 200 M at n = 100, beyond a machine with 8 GB.
 MAX_N = 64
 NAIVE_POINT_GUARD = 400  # enumerate_naive is cubic in the point count
 # heights whose keys join the seen keys at once in obtuse_counts: each
 # join copies the seen array, so batching does it 16 times at n = 64
 FIRST_H_BATCH = 8
+
+try:  # glibc's malloc_trim(pad); elsewhere freed pages stay with the process
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 
 def _box_rows(h: int):
@@ -86,8 +96,14 @@ def _merge(tables):
     weights) tables in any order.  Each input array is released once it
     is copied, which keeps the peak at four arrays of the total length."""
     keys, weights = zip(*tables)
+    several = len(keys) > 1
     keys = np.concatenate(keys)
     weights = np.concatenate(weights)
+    if several and _MALLOC_TRIM is not None:
+        # the census tables come from the pool's threads, and glibc keeps the
+        # pages of their freed arrays in the threads' malloc arenas: handed
+        # back before the sort allocates, the n = 64 peak is 1.7 GB, not 2.4
+        _MALLOC_TRIM(0)
     order = np.argsort(keys)
     keys = keys[order]
     weights = weights[order]
@@ -141,7 +157,10 @@ def enumerate_weighted(n: int) -> WeightedShapeSet:
     """Weighted census of all lattice triangles with vertices in [-n, n]^2,
     keyed by similarity class."""
     n = check_int_range(n, "n", 1, MAX_N)
-    keys, weights = _merge(_box_table(n, h) for h in range(1, 2 * n + 1))
+    # a height's cost grows like h^3: the largest run first, while few tables
+    # are held, and the small ones balance the end; _merge sorts all tables
+    heights = [(n, h) for h in range(2 * n, 0, -1)]
+    keys, weights = _merge(map_ordered(_box_table, heights, worker_count()))
     total, expected = int(weights.sum()), _triangle_total(n)
     if total != expected:
         raise PrecisionError(f"census total {total} != closed-form triangle count {expected}")

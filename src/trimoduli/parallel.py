@@ -1,9 +1,10 @@
 """Worker-count plumbing.
 
 TRIMODULI_THREADS sets the number of threads that run the Monte Carlo
-sampler blocks (numpy releases the GIL inside their kernels); the census
-runs on one thread.  Results never depend on the worker count: work is
-split into fixed blocks and block results are reduced in block-index order.
+sampler blocks, the census box heights and the export chunks (numpy
+releases the GIL inside their kernels); it defaults to the CPUs this
+process may use.  Results never depend on the worker count: work is split
+into fixed blocks and block results are reduced in block-index order.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ ENV_THREADS = "TRIMODULI_THREADS"
 def worker_count() -> int:
     raw = os.environ.get(ENV_THREADS)
     if raw is None:
+        # the affinity mask, not the host: a cpuset or taskset may allow fewer
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     # only plain decimal digits: int() would also take "2_0", " 3 " and "+3"
     if not (raw.isascii() and raw.isdigit()):

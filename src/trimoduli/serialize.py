@@ -6,9 +6,10 @@ shortest round-trip repr, newlines are '\\n', and every file starts with a
 schema tag.  Identical inputs produce identical bytes on any platform.
 
 Weighted-set and histogram rows are written CHECK_ROWS at a time as numpy
-byte blocks.  Weighted-set floats come from an exact uint64 kernel that
-reproduces repr's shortest round-trip digits for every float in [1e-4, 1),
-where each census coordinate at n <= 64 lies, and from repr itself elsewhere.
+byte blocks, one chunk per job on the worker threads.  Weighted-set floats
+come from an exact uint64 kernel that reproduces repr's shortest round-trip
+digits for every float in [1e-4, 1), where each census coordinate at
+n <= 64 lies, and from repr itself elsewhere.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .moduli import (
     normalized_sides,
     shape_of,
 )
+from .parallel import map_ordered, worker_count
 from .randgeom import Histogram2D, McEstimate
 
 WSET_SCHEMA = "trimoduli.weighted-set.v1"
@@ -166,16 +168,18 @@ def _float_bytes(x) -> np.ndarray:
     return field
 
 
-def _rows_text(head: str, template, field_chunks, tail: str) -> str:
-    """head, the rows of each chunk of field blocks laid out by the template,
-    and tail.  A chunk's literals and fields are stacked into one byte block
-    and written out row by row without its NULs, onto one bytearray that is
-    decoded once.  Grown in place, it leaves no text among the freed
-    temporaries, and 2^13 rows at a time keep the byte copies near 1 MB: the
-    peak RSS of an export stays that of the text held twice."""
-    text = bytearray(head.encode())
-    skip = len(template[0])  # the row separator, dropped before the first row
-    for fields in field_chunks:
+def _rows_text(head: str, template, fields_of, rows: int, tail: str) -> str:
+    """head, the rows laid out by the template, and tail.  fields_of(start)
+    gives the field blocks of rows start .. start + CHECK_ROWS.  Each chunk's
+    job, on the threads of parallel.map_ordered, stacks its literals and
+    fields into one byte block and writes it out row by row without its NULs;
+    the caller appends the chunks in order onto one bytearray, decoded once.
+    Grown in place, it leaves no text among the freed temporaries, and 2^13
+    rows at a time keep the byte copies near 1 MB: the peak RSS of an export
+    stays that of the text held twice, plus the chunks in flight."""
+
+    def chunk_bytes(start):
+        fields = fields_of(start)
         n = fields[0].shape[1]
         parts = [_literal(part, n) if isinstance(part, str) else fields[part] for part in template]
         # byte rows 64 bytes longer than the chunk: at a power-of-two stride
@@ -184,10 +188,17 @@ def _rows_text(head: str, template, field_chunks, tail: str) -> str:
         block = np.empty((sum(map(len, parts)), n + 64), np.uint8)[:, :n]
         np.concatenate(parts, out=block)
         del fields, parts
-        for start in range(0, n, 1 << 13):
-            rows = block[:, start : start + (1 << 13)]
-            text += rows.T.tobytes().translate(None, b"\0")[skip:]
-            skip = 0
+        return b"".join(
+            block[:, k : k + (1 << 13)].T.tobytes().translate(None, b"\0")
+            for k in range(0, n, 1 << 13)
+        )
+
+    text = bytearray(head.encode())
+    skip = len(template[0])  # the row separator, dropped before the first row
+    starts = [(start,) for start in range(0, rows, CHECK_ROWS)]
+    for chunk in map_ordered(chunk_bytes, starts, worker_count()):
+        text += memoryview(chunk)[skip:]
+        skip = 0
     text += tail.encode()
     return text.decode("ascii")
 
@@ -200,17 +211,16 @@ def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:
     head, row, tail, _ = _WSET_FORMATS[fmt]
     cols = s.columns()
 
-    def field_chunks():
-        for i in range(0, len(s), CHECK_ROWS):
-            p, q, r, w = (col[i : i + CHECK_ROWS] for col in cols)
-            yield (  # indexed by P, Q, R, W, ANGLE, A, B, C
-                *map(_int_bytes, (p, q, r, w)),
-                _ANGLES[:, np.sign(r - p - q) + 1],
-                *map(_float_bytes, normalized_sides(p, q, r)),
-            )
+    def fields_of(start):
+        p, q, r, w = (col[start : start + CHECK_ROWS] for col in cols)
+        return (  # indexed by P, Q, R, W, ANGLE, A, B, C
+            *map(_int_bytes, (p, q, r, w)),
+            _ANGLES[:, np.sign(r - p - q) + 1],
+            *map(_float_bytes, normalized_sides(p, q, r)),
+        )
 
     frame = {"schema": WSET_SCHEMA, "n": len(s), "t": s.total_weight}
-    return _rows_text(head.format(**frame), row, field_chunks(), tail.format(**frame))
+    return _rows_text(head.format(**frame), row, fields_of, len(s), tail.format(**frame))
 
 
 def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
@@ -278,11 +288,10 @@ def export_histogram(h: Histogram2D, fmt: str = "csv") -> str:
             f"total={h.total} obtuse_count={h.obtuse_count}\n"
             "ix,iy,count\n"
         )
-        field_chunks = (
-            [_int_bytes(col[k : k + CHECK_ROWS]) for col in (ix, iy, counts)]
-            for k in range(0, len(counts), CHECK_ROWS)
-        )
-        return _rows_text(head, ("", 0, ",", 1, ",", 2, "\n"), field_chunks, "")
+        def fields_of(start):
+            return [_int_bytes(col[start : start + CHECK_ROWS]) for col in (ix, iy, counts)]
+
+        return _rows_text(head, ("", 0, ",", 1, ",", 2, "\n"), fields_of, len(counts), "")
     if fmt == "json":
         return _json_doc(
             HISTOGRAM_SCHEMA,
@@ -300,4 +309,6 @@ def export_histogram(h: Histogram2D, fmt: str = "csv") -> str:
 def write_text(path: str, text: str) -> None:
     """Write text to path with '\\n' newlines and UTF-8, no translation."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        # 1 MiB slices: one write would first encode a full-size copy
+        for start in range(0, len(text), 1 << 20):
+            fh.write(text[start : start + (1 << 20)])

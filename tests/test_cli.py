@@ -105,6 +105,26 @@ class TestExitCodes:
         assert main(["mc-obtuse", "--samples", "1000000"]) == code
         assert "error: block failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("error", "code"), [(tm.PrecisionError, 4), (tm.GuardError, 3)], ids=["precision", "guard"]
+    )
+    def test_census_height_error_keeps_its_exit_code(
+        self, tmp_path, capsys, monkeypatch, error, code
+    ):
+        box_table = tm.enumeration._box_table
+
+        def fail_at_height_4(n, h):
+            if h == 4:
+                raise error("height failed")
+            return box_table(n, h)
+
+        monkeypatch.setenv(tm.ENV_THREADS, "2")
+        monkeypatch.setattr("trimoduli.enumeration._box_table", fail_at_height_4)
+        out = tmp_path / "census.csv"
+        assert main(["enumerate", "--n", "3", "--out", str(out)]) == code
+        assert "error: height failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_requires_out(self):
         with pytest.raises(SystemExit) as exc:
             main(["plot-curve", "--n-max", "3"])

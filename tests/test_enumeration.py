@@ -1,6 +1,7 @@
 """Census correctness: the weighted pipeline against brute force."""
 
 import math
+import os
 from itertools import combinations, product
 
 import numpy as np
@@ -195,10 +196,45 @@ class TestWeightedCensus:
             tm.enumerate_weighted("2")
 
 
+def _pool_outputs():
+    """The n = 12 census, its CSV and JSON bytes, and the CSV bytes of a
+    labeled histogram with 8,256 nonzero cells."""
+    census = tm.enumerate_weighted(12)
+    hist = tm.shape_histogram(200_000, 128, 5, labeled=True)
+    return (
+        census,
+        tm.export_weighted_set(census, "csv"),
+        tm.export_weighted_set(census, "json"),
+        tm.export_histogram(hist, "csv"),
+    )
+
+
+@pytest.fixture(scope="module")
+def one_thread_outputs():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(tm.ENV_THREADS, "1")
+        return _pool_outputs()
+
+
 class TestParallelPath:
-    def test_worker_pool_census_identical(self, s2, monkeypatch):
-        monkeypatch.setenv(tm.ENV_THREADS, "2")
-        assert tm.enumerate_weighted(2) == s2
+    # 4096-row chunks: 11 census chunks and 3 histogram chunks, so several
+    # are in flight; the census runs its 24 heights on the same pool
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_worker_pool_census_identical(self, one_thread_outputs, monkeypatch, threads):
+        monkeypatch.setenv(tm.ENV_THREADS, threads)
+        monkeypatch.setattr("trimoduli.serialize.CHECK_ROWS", 4096)
+        assert _pool_outputs() == one_thread_outputs
+
+    def test_worker_count_defaults_to_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv(tm.ENV_THREADS, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert tm.worker_count() == 3
+        # where there is no affinity call, the CPU count; 1 if it is unknown
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert tm.worker_count() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert tm.worker_count() == 1
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv(tm.ENV_THREADS, "3")

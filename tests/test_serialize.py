@@ -164,6 +164,24 @@ class TestWeightedSetRowTemplate:
             tracemalloc.stop()
         assert peak < 3 * len(text)
 
+    @pytest.mark.parametrize("error", [tm.PrecisionError, tm.GuardError])
+    def test_chunk_error_reaches_the_caller_with_its_type(self, monkeypatch, error):
+        s = tm.enumerate_weighted(4)
+        float_bytes = serialize._float_bytes
+        # the a column of rows 7 .. 13, the second chunk of 7 rows
+        second = normalized_sides(*(col[7:14] for col in s.columns()[:3]))[0]
+
+        def fail_in_second_chunk(x):
+            if np.array_equal(x, second):
+                raise error("chunk failed")
+            return float_bytes(x)
+
+        monkeypatch.setenv(tm.ENV_THREADS, "2")
+        monkeypatch.setattr("trimoduli.serialize.CHECK_ROWS", 7)
+        monkeypatch.setattr("trimoduli.serialize._float_bytes", fail_in_second_chunk)
+        with pytest.raises(error, match="chunk failed"):
+            tm.export_weighted_set(s, "csv")
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_reader_rejects_a_field_above_int64(self, fmt):
         text = tm.export_weighted_set(tm.enumerate_naive((0, 1, 0, 1)), fmt)
@@ -356,6 +374,18 @@ class TestWriteText:
     def test_propagates_io_errors(self, tmp_path):
         with pytest.raises(OSError):
             tm.write_text(str(tmp_path / "missing" / "out.csv"), "x")
+
+    def test_multibyte_characters_across_slice_boundaries(self, tmp_path):
+        # the text is written in 1 MiB slices; each boundary falls between
+        # a two-byte and a three-byte character
+        mib = 1 << 20
+        chars = ["a"] * (3 * mib + 5)
+        for k in (1, 2, 3):
+            chars[k * mib - 1], chars[k * mib] = "é", "∑"
+        text = "".join(chars)
+        target = tmp_path / "out.txt"
+        tm.write_text(str(target), text)
+        assert target.read_bytes() == text.encode("utf-8")
 
 
 def _sha256(text: str) -> str:
