@@ -26,16 +26,17 @@ gcd-reduced packed keys.  The census weights those keys by translate
 count, one height per job on the threads of parallel.map_ordered, and
 merges the h-tables.  As a post-condition the total weight must equal
 C(N^2, 3) minus the collinear triples of the grid, or the run raises
-PrecisionError.  Squared sides are at most w^2 + h^2 <= 8 n^2, so
-keys pack into one int64 word.
+PrecisionError.  Squared sides are at most w^2 + h^2 <= 8 n^2, so the
+kernel computes in int32 and keys pack into one int64 word.
 
 The obtuse curve needs no census per n, because the rows of height h
 belong to every grid with 2n >= h.  obtuse_counts makes one pass over
-h = 1 .. 2 n_max with the same kernel and fills three (cell, height)
-tables, cell 1 the obtuse rows: the orbit moments S0 = sum orbit and
-S1 = sum orbit w, whose running sums give every n's weights in closed
-form, and the number of classes whose first, smallest, height is h,
-whose running sums are every n's distinct counts.
+h = 1 .. 2 n_max with the same kernel, one height per job on the same
+threads, and fills three (cell, height) tables, cell 1 the obtuse rows:
+the orbit moments S0 = sum orbit and S1 = sum orbit w, whose running sums
+give every n's weights in closed form, and the number of classes whose
+first, smallest, height is h, whose running sums are every n's distinct
+counts.
 """
 
 from __future__ import annotations
@@ -56,9 +57,13 @@ from .parallel import map_ordered, worker_count
 # 1.7 GB peak at 1 or 2 threads; the merge of the height tables sets it)
 # and about 200 M at n = 100, beyond a machine with 8 GB.
 MAX_N = 64
+# _box_keys computes in int32, as squared sides are at most 2 (2 MAX_N)^2
+# < 2^31; obtuse_counts encodes a packed key with its height h <= 2 MAX_N
+# as (key << H_BITS) | h, which needs 3 _pack_shift(MAX_N) + H_BITS <= 63
+H_BITS = (2 * MAX_N).bit_length()
 NAIVE_POINT_GUARD = 400  # enumerate_naive is cubic in the point count
 # heights whose keys join the seen keys at once in obtuse_counts: each
-# join copies the seen array, so batching does it 16 times at n = 64
+# join sorts a copy of the seen array, so batching does it 16 times at n = 64
 FIRST_H_BATCH = 8
 
 try:  # glibc's malloc_trim(pad); elsewhere freed pages stay with the process
@@ -68,26 +73,34 @@ except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
 
 
+def _rows_over_y(mask, y):
+    """(w, x, y) for every (w - 1, x) pair that is True in mask, each pair
+    repeated once per entry of y."""
+    iw, ix = (i.astype(np.int32) for i in np.nonzero(mask))
+    return np.repeat(iw + 1, len(y)), np.repeat(ix, len(y)), np.tile(y, len(iw))
+
+
 def _box_rows(h: int):
     """Rows of every box w x h with 1 <= w <= h, independent of n: the
     triangle (0,0), (w, ay), (bx, by) as (w, ay, bx, by), with its orbit
-    weight including the transpose factor."""
-    w = np.arange(1, h + 1, dtype=np.int64)[:, None, None]
-    x = np.arange(h + 1, dtype=np.int64)[None, :, None]
-    y = np.arange(h + 1, dtype=np.int64)[None, None, :]
+    weight including the transpose factor.  All int32."""
+    w = np.arange(1, h + 1, dtype=np.int32)[:, None]
+    x = np.arange(h + 1, dtype=np.int32)
     # (0,0), (w,y), (x,h) with 0 <= x < w, 0 <= y < h: one corner, the
     # bottom corners (y = 0), the left corners (x = 0) or three corners
-    fw, fx, fy = np.nonzero((x < w) & (y < h))
-    # (0,0), (w,h), (x,y) off the corners and off the diagonal
-    corner = ((x == 0) | (x == w)) & ((y == 0) | (y == h))
-    dw, dx, dy = np.nonzero((x <= w) & ~corner & (x * h != y * w))
+    fw, fx, fy = _rows_over_y(x < w, x[:h])
+    # (0,0), (w,h), (x,y) off the diagonal and off the corners (w,0), (0,h)
+    dw, dx, dy = _rows_over_y(x <= w, x)
+    keep = (dx * h != dy * dw) & ~((dx == dw) & (dy == 0)) & ~((dx == 0) & (dy == h))
+    dw, dx, dy = dw[keep], dx[keep], dy[keep]
 
-    width = np.concatenate((fw, dw)) + 1
-    flips = np.concatenate((np.where((fx == 0) == (fy == 0), 4, 2), np.full(len(dw), 2)))
-    orbit = flips * np.where(width < h, 2, 1)
-    ay = np.concatenate((fy, np.full(len(dw), h)))
+    one, two, four = np.int32(1), np.int32(2), np.int32(4)
+    width = np.concatenate((fw, dw))
+    flips = np.concatenate((np.where((fx == 0) == (fy == 0), four, two), np.full(len(dw), two)))
+    orbit = flips * np.where(width < h, two, one)
+    ay = np.concatenate((fy, np.full(len(dw), h, np.int32)))
     bx = np.concatenate((fx, dx))
-    by = np.concatenate((np.full(len(fw), h), dy))
+    by = np.concatenate((np.full(len(fw), h, np.int32), dy))
     return width, ay, bx, by, orbit
 
 
@@ -114,8 +127,8 @@ def _merge(tables):
 
 def _box_keys(h: int, shift: int):
     """The rows of _box_rows(h): their widths and orbit weights, their
-    sorted unreduced squared sides (lo, mid, hi) and their gcd-reduced
-    keys packed with shift bits per entry."""
+    sorted unreduced squared sides (lo, mid, hi), all int32, and their
+    gcd-reduced keys packed with shift bits per entry, int64."""
     width, ay, bx, by, orbit = _box_rows(h)
     p0 = width * width + ay * ay
     q0 = bx * bx + by * by
@@ -124,14 +137,17 @@ def _box_keys(h: int, shift: int):
     hi = np.maximum(np.maximum(p0, q0), r0)
     mid = p0 + q0 + r0 - lo - hi
     g = np.gcd(np.gcd(lo, mid), hi)
-    return width, orbit, (lo, mid, hi), pack_key(lo // g, mid // g, hi // g, shift)
+    # the sides fit int32 (see MAX_N), but p << 2 shift and q << shift do not
+    key = pack_key((lo // g).astype(np.int64), (mid // g).astype(np.int64), hi // g, shift)
+    return width, orbit, (lo, mid, hi), key
 
 
 def _box_table(n: int, h: int):
     """Packed keys and census weights of the boxes of height h in [-n, n]^2."""
     width, orbit, _, packed = _box_keys(h, _pack_shift(n))
     side = 2 * n + 1
-    return _merge([(packed, orbit * ((side - width) * (side - h)))])
+    # int64 before the product: _merge sums the weights in their own dtype
+    return _merge([(packed, orbit.astype(np.int64) * ((side - width) * (side - h)))])
 
 
 def _pack_shift(n: int) -> int:
@@ -169,6 +185,24 @@ def enumerate_weighted(n: int) -> WeightedShapeSet:
     return WeightedShapeSet.from_columns(p, q, r, weights)
 
 
+def _height_cells(h: int, shift: int):
+    """One height of obtuse_counts: the orbit moments S0 = sum orbit and
+    S1 = sum orbit w of the rows of box height h by cell (1 the obtuse
+    rows), and the height's distinct packed keys, sorted, each encoded with
+    its height as (key << H_BITS) | h."""
+    width, orbit, sides, packed = _box_keys(h, shift)
+    cell = ModuliRegion.OBTUSE_ALL.key_mask(*sides)
+    del sides
+    s0 = np.bincount(cell, orbit, 2)
+    s1 = np.bincount(cell, orbit * width, 2)
+    del width, orbit, cell
+    packed.sort()
+    packed = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
+    packed <<= H_BITS
+    packed |= h
+    return s0, s1, packed
+
+
 def obtuse_counts(n_max: int) -> list[tuple[int, int, int, int]]:
     """(total_weight, distinct_count, obtuse_weight, obtuse_distinct) of the
     census of every n = 1 .. n_max, in ObtuseCurvePoint field order, from
@@ -179,42 +213,41 @@ def obtuse_counts(n_max: int) -> list[tuple[int, int, int, int]]:
     height h (cell 1 the obtuse rows), its weight at n is the sum over
     h <= 2n of (N - h)(N S0 - S1) = N^2 A - N B + C, with A, B and C the
     running sums of S0, h S0 + S1 and h S1.  A class is in grid n when its
-    first height, the smallest h of its rows, is <= 2n; new classes are
-    found a batch of heights at a time against the sorted keys seen so far.
+    first height, the smallest h of its rows, is <= 2n.  The heights run
+    one per job on the threads of parallel.map_ordered (_height_cells), and
+    the calling thread takes them in height order, FIRST_H_BATCH heights at
+    a time.  It sorts each batch into the classes seen so far, each kept as
+    (key << H_BITS) | its first height, so the first entry of a key's run
+    has its smallest h, and a class is new when that h is in the batch.
     A total off the closed-form triangle count raises PrecisionError."""
     n_max = check_int_range(n_max, "n_max", 1, MAX_N)
     heights = 2 * n_max
     shift = _pack_shift(n_max)
     # S0, S1 and new classes by (cell, h); float bincounts are exact < 2^53
     s0, s1, firsts = np.zeros((3, 2, heights + 1), dtype=np.int64)
-    # a sentinel above every packed key keeps searchsorted inside the array
-    seen = np.array([np.iinfo(np.int64).max])
+    low = (1 << H_BITS) - 1
+    seen = np.zeros(0, dtype=np.int64)
+    cells = map_ordered(_height_cells, [(h, shift) for h in range(1, heights + 1)], worker_count())
     for start in range(1, heights + 1, FIRST_H_BATCH):
-        keys, first_h = [], []
+        batch = [seen]
         for h in range(start, min(start + FIRST_H_BATCH, heights + 1)):
-            width, orbit, sides, packed = _box_keys(h, shift)
-            cell = ModuliRegion.OBTUSE_ALL.key_mask(*sides)
-            del sides
-            s0[:, h] = np.bincount(cell, orbit, 2)
-            s1[:, h] = np.bincount(cell, orbit * width, 2)
-            packed.sort()
-            packed = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
-            keys.append(packed)
-            first_h.append(np.full(len(packed), h))
-        # stable, so the first row of each key has its smallest h
-        keys = np.concatenate(keys)
-        order = np.argsort(keys, kind="stable")
-        keys, first_h = keys[order], np.concatenate(first_h)[order]
-        del order
+            s0[:, h], s1[:, h], keyed = next(cells)
+            batch.append(keyed)
+        seen = np.concatenate(batch)
+        del batch, keyed
+        seen.sort()
+        keys = seen >> H_BITS
         head = np.concatenate(([True], keys[1:] != keys[:-1]))
-        keys, first_h = keys[head], first_h[head]
-        at = np.searchsorted(seen, keys)
-        new = seen[at] != keys
-        keys, first_h, at = keys[new], first_h[new], at[new]
-        cell = ModuliRegion.OBTUSE_ALL.key_mask(*unpack_key(keys, shift))
-        flat = np.bincount(cell * (heights + 1) + first_h, minlength=firsts.size)
+        del keys
+        seen = seen[head]
+        new = seen[(seen & low) >= start]
+        cell = ModuliRegion.OBTUSE_ALL.key_mask(*unpack_key(new >> H_BITS, shift))
+        flat = np.bincount(cell * (heights + 1) + (new & low), minlength=firsts.size)
         firsts += flat.reshape(firsts.shape)
-        seen = np.insert(seen, at, keys)
+    if _MALLOC_TRIM is not None:
+        # the pool's threads keep the pages of their freed kernel arrays in
+        # their malloc arenas, 60-300 MB after the n = 64 pass
+        _MALLOC_TRIM(0)
     # running sums at the columns h = 2n, where N = h + 1
     h = np.arange(heights + 1)
     side = h[2::2] + 1

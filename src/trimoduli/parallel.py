@@ -1,10 +1,11 @@
 """Worker-count plumbing.
 
 TRIMODULI_THREADS sets the number of threads that run the Monte Carlo
-sampler blocks, the census box heights and the export chunks (numpy
-releases the GIL inside their kernels); it defaults to the CPUs this
-process may use.  Results never depend on the worker count: work is split
-into fixed blocks and block results are reduced in block-index order.
+sampler blocks, the box heights of the census and of the obtuse curve,
+and the export chunks (numpy releases the GIL inside their kernels); it
+defaults to the CPUs this process may use.  Results never depend on the
+worker count: work is split into fixed blocks and block results are
+reduced in block-index order.
 """
 
 from __future__ import annotations

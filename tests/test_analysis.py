@@ -94,6 +94,20 @@ class TestOneScanCurve:
         # keys are packed with _pack_shift(n_max), so k and 20 pack differently
         assert tm.obtuse_curve(k) == curve20[: k - 1]
 
+    @pytest.fixture(scope="class")
+    def counts12(self):
+        return enumeration.obtuse_counts(12)
+
+    # the heights run on the pool and join the seen keys FIRST_H_BATCH at a
+    # time; neither the thread count nor the batch may change a count: one
+    # h at a time, and one batch (567 exceeds every height count here)
+    @pytest.mark.parametrize("h_batch", [1, 567])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_thread_and_batch_split_invariance(self, counts12, monkeypatch, h_batch, threads):
+        monkeypatch.setenv(tm.ENV_THREADS, threads)
+        monkeypatch.setattr(enumeration, "FIRST_H_BATCH", h_batch)
+        assert enumeration.obtuse_counts(12) == counts12
+
     def test_total_mismatch_fails_loudly(self, monkeypatch):
         closed_form = enumeration._triangle_total
         monkeypatch.setattr(enumeration, "_triangle_total", lambda n: closed_form(n) - (n == 2))

@@ -125,6 +125,26 @@ class TestExitCodes:
         assert "error: height failed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("error", "code"), [(tm.PrecisionError, 4), (tm.GuardError, 3)], ids=["precision", "guard"]
+    )
+    def test_curve_height_error_keeps_its_exit_code(
+        self, tmp_path, capsys, monkeypatch, error, code
+    ):
+        height_cells = tm.enumeration._height_cells
+
+        def fail_at_height_4(h, shift):
+            if h == 4:
+                raise error("height failed")
+            return height_cells(h, shift)
+
+        monkeypatch.setenv(tm.ENV_THREADS, "2")
+        monkeypatch.setattr("trimoduli.enumeration._height_cells", fail_at_height_4)
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--n-max", "3", "--out", str(out)]) == code
+        assert "error: height failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_requires_out(self):
         with pytest.raises(SystemExit) as exc:
             main(["plot-curve", "--n-max", "3"])

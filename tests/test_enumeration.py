@@ -45,6 +45,27 @@ def census_from_tables(n, tables):
     return tm.WeightedShapeSet.from_columns(*unpack_key(keys, enumeration._pack_shift(n)), weights)
 
 
+def box_keys_int64(h: int, shift: int):
+    """_box_keys(h, shift) from an int64 broadcast over the box's (w, x, y)
+    grid: widths, orbits, sorted unreduced sides and packed reduced keys."""
+    w = np.arange(1, h + 1, dtype=np.int64)[:, None, None]
+    x = np.arange(h + 1, dtype=np.int64)[None, :, None]
+    y = np.arange(h + 1, dtype=np.int64)[None, None, :]
+    # one corner: (0,0), (w,y), (x,h); diagonal: (0,0), (w,h), (x,y)
+    fw, fx, fy = np.nonzero((x < w) & (y < h))
+    corner = ((x == 0) | (x == w)) & ((y == 0) | (y == h))
+    dw, dx, dy = np.nonzero((x <= w) & ~corner & (x * h != y * w))
+    width = np.concatenate((fw, dw)) + 1
+    flips = np.concatenate((np.where((fx == 0) == (fy == 0), 4, 2), np.full(len(dw), 2)))
+    orbit = flips * np.where(width < h, 2, 1)
+    ay = np.concatenate((fy, np.full(len(dw), h)))
+    bx = np.concatenate((fx, dx))
+    by = np.concatenate((np.full(len(fw), h), dy))
+    sides = np.sort([width**2 + ay**2, bx**2 + by**2, (bx - width) ** 2 + (by - ay) ** 2], axis=0)
+    lo, mid, hi = sides // np.gcd.reduce(sides, axis=0)
+    return width, orbit, sides, (lo << 2 * shift) | (mid << shift) | hi
+
+
 def collinear_triples_on_grid(side: int) -> int:
     """Collinear point triples in a side x side grid, in O(side^2).
 
@@ -142,6 +163,22 @@ class TestWeightedCensus:
             for w in range(1, h + 1):
                 transpose = 2 if w < h else 1
                 assert int(orbit[width == w].sum()) == transpose * box_triangle_count(w, h)
+
+    def test_int32_kernel_equals_int64_at_the_largest_height(self):
+        # _box_keys computes in int32; at h = 2 MAX_N, where the squared
+        # sides reach 2 (2 MAX_N)^2, it must equal the int64 formula
+        h, shift = 2 * tm.MAX_N, enumeration._pack_shift(tm.MAX_N)
+        assert 2 * h**2 < 2**31
+        # obtuse_counts' (key << H_BITS) | h holds every height and fits int64
+        assert h < 2**enumeration.H_BITS
+        assert 3 * shift + enumeration.H_BITS <= 63
+        width, orbit, sides, keys = enumeration._box_keys(h, shift)
+        ref_width, ref_orbit, ref_sides, ref_keys = box_keys_int64(h, shift)
+        assert int(ref_sides.max()) == 2 * h**2
+        assert np.array_equal(width, ref_width)
+        assert np.array_equal(orbit, ref_orbit)
+        assert np.array_equal(np.stack(sides), ref_sides)
+        assert np.array_equal(keys, ref_keys)
 
     def test_box_closed_form_matches_brute_force(self):
         for w in range(1, 7):

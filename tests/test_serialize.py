@@ -153,7 +153,10 @@ class TestWeightedSetRowTemplate:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_formatting_stays_chunked(self, fmt, monkeypatch):
         # rows formatted a chunk at a time and joined once hold about the
-        # text twice at the peak: the chunks and the joined text
+        # text twice at the peak: the chunks and the joined text.  Up to
+        # 2 * threads + 1 chunks are alive at once, so the thread count is
+        # pinned: at 16 threads the peak reads 2.77 times the text
+        monkeypatch.setenv(tm.ENV_THREADS, "2")
         s = tm.enumerate_weighted(12)
         monkeypatch.setattr("trimoduli.serialize.CHECK_ROWS", 4096)
         tracemalloc.start()
