@@ -41,7 +41,6 @@ counts.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import sys
 from itertools import combinations
@@ -51,7 +50,7 @@ import numpy as np
 from .errors import GuardError, PrecisionError, check_int_range
 from .lattice import pack_key, reduced_triple, unpack_key
 from .moduli import ModuliRegion, WeightedShapeSet
-from .parallel import map_ordered, worker_count
+from .parallel import map_ordered, release_freed_pages, worker_count
 
 # The key count grows like n^4: 1.9 M at n = 31, 33.9 M at n = 64 (a
 # 1.7 GB peak at 1 or 2 threads; the merge of the height tables sets it)
@@ -65,12 +64,6 @@ NAIVE_POINT_GUARD = 400  # enumerate_naive is cubic in the point count
 # heights whose keys join the seen keys at once in obtuse_counts: each
 # join sorts a copy of the seen array, so batching does it 16 times at n = 64
 FIRST_H_BATCH = 8
-
-try:  # glibc's malloc_trim(pad); elsewhere freed pages stay with the process
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
-except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
 
 
 def _rows_over_y(mask, y):
@@ -112,11 +105,11 @@ def _merge(tables):
     several = len(keys) > 1
     keys = np.concatenate(keys)
     weights = np.concatenate(weights)
-    if several and _MALLOC_TRIM is not None:
-        # the census tables come from the pool's threads, and glibc keeps the
-        # pages of their freed arrays in the threads' malloc arenas: handed
-        # back before the sort allocates, the n = 64 peak is 1.7 GB, not 2.4
-        _MALLOC_TRIM(0)
+    if several:
+        # the census tables come from the pool's threads: their freed pages
+        # handed back before the sort allocates, the n = 64 peak is 1.7 GB,
+        # not 2.4
+        release_freed_pages()
     order = np.argsort(keys)
     keys = keys[order]
     weights = weights[order]
@@ -244,10 +237,9 @@ def obtuse_counts(n_max: int) -> list[tuple[int, int, int, int]]:
         cell = ModuliRegion.OBTUSE_ALL.key_mask(*unpack_key(new >> H_BITS, shift))
         flat = np.bincount(cell * (heights + 1) + (new & low), minlength=firsts.size)
         firsts += flat.reshape(firsts.shape)
-    if _MALLOC_TRIM is not None:
-        # the pool's threads keep the pages of their freed kernel arrays in
-        # their malloc arenas, 60-300 MB after the n = 64 pass
-        _MALLOC_TRIM(0)
+    # the pool's threads kept the pages of their freed kernel arrays,
+    # 60-300 MB after the n = 64 pass
+    release_freed_pages()
     # running sums at the columns h = 2n, where N = h + 1
     h = np.arange(heights + 1)
     side = h[2::2] + 1

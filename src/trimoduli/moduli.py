@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import GuardError, check_int_range, check_real
 from .lattice import SimilarityKey
+from .parallel import map_ordered, worker_count
 
 SUM_TOL = 1e-12
 MAX_BINS = 4096
@@ -236,7 +237,8 @@ class WeightedShapeSet:
     def _init_columns(self, p, q, r, w):
         if not (len(p) == len(q) == len(r) == len(w)):
             raise ValueError("column lengths differ")
-        for start in range(0, len(p), CHECK_ROWS):
+
+        def check_slice(start):
             # each slice's checks also take the row before it, so the order
             # check covers the pair that straddles the slice boundary
             rows = slice(max(start - 1, 0), start + CHECK_ROWS)
@@ -256,6 +258,12 @@ class WeightedShapeSet:
             p0, q0, r0, p1, q1, r1 = ps[:-1], qs[:-1], rs[:-1], ps[1:], qs[1:], rs[1:]
             if not np.all((p0 < p1) | ((p0 == p1) & ((q0 < q1) | ((q0 == q1) & (r0 < r1))))):
                 raise ValueError("columns must be sorted by (p, q, r) without duplicate keys")
+
+        # one job per slice on the pool; map_ordered raises a job's error at
+        # its position, so the earliest bad slice's error is the one raised
+        starts = [(start,) for start in range(0, len(p), CHECK_ROWS)]
+        for _ in map_ordered(check_slice, starts, worker_count()):
+            pass
         for arr, name in ((p, "_p"), (q, "_q"), (r, "_r"), (w, "_w")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

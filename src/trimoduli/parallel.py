@@ -2,14 +2,16 @@
 
 TRIMODULI_THREADS sets the number of threads that run the Monte Carlo
 sampler blocks, the box heights of the census and of the obtuse curve,
-and the export chunks (numpy releases the GIL inside their kernels); it
-defaults to the CPUs this process may use.  Results never depend on the
-worker count: work is split into fixed blocks and block results are
-reduced in block-index order.
+the slice checks of WeightedShapeSet.from_columns and the export chunks
+(numpy releases the GIL inside their kernels); it defaults to the CPUs
+this process may use.  Results never depend on the worker count: work is
+split into fixed blocks and block results are reduced in block-index
+order.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import sys
 from collections import deque
@@ -18,6 +20,12 @@ from concurrent.futures import ThreadPoolExecutor
 from .errors import GuardError, check_int_range
 
 ENV_THREADS = "TRIMODULI_THREADS"
+
+try:  # glibc's malloc_trim(pad); elsewhere freed pages stay with the process
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 
 def worker_count() -> int:
@@ -34,13 +42,18 @@ def worker_count() -> int:
 
 
 def map_ordered(fn, args_list, workers: int):
-    """Yield fn(*args) for each args tuple, in args_list order, computed on
-    `workers` threads.
+    """Yield fn(*args) for each args tuple of the list args_list, in order,
+    computed on `workers` threads.
 
     At most 2 * workers calls are submitted and not yet yielded, so with the
     one the caller holds at most 2 * workers + 1 results are alive.  A
     call's exception is raised at its position, after the earlier results.
+    A lone call runs in the calling thread: starting a pool costs more
+    than a small job, such as the one slice check of a small census.
     """
+    if len(args_list) == 1:
+        yield fn(*args_list[0])
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for args in args_list:
@@ -49,3 +62,12 @@ def map_ordered(fn, args_list, workers: int):
             pending.append(pool.submit(fn, *args))
         while pending:
             yield pending.popleft().result()
+
+
+def release_freed_pages() -> None:
+    """Hand back the freed pages that glibc keeps in the malloc arenas of
+    map_ordered's threads, where their jobs' arrays were allocated; called
+    once a pool's large results are freed or copied.  A no-op without
+    glibc."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)

@@ -6,10 +6,12 @@ shortest round-trip repr, newlines are '\\n', and every file starts with a
 schema tag.  Identical inputs produce identical bytes on any platform.
 
 Weighted-set and histogram rows are written CHECK_ROWS at a time as numpy
-byte blocks, one chunk per job on the worker threads.  Weighted-set floats
-come from an exact uint64 kernel that reproduces repr's shortest round-trip
-digits for every float in [1e-4, 1), where each census coordinate at
-n <= 64 lies, and from repr itself elsewhere.
+byte blocks, one chunk per job on the worker threads; each job returns its
+chunk as str, and the caller joins the chunks once.  Integers are printed in
+9-digit uint32 limbs.  Weighted-set floats come from an exact uint64 kernel
+that reproduces repr's shortest round-trip digits for every float in
+[1e-4, 1), where each census coordinate at n <= 64 lies, and from repr
+itself elsewhere.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .moduli import (
     normalized_sides,
     shape_of,
 )
-from .parallel import map_ordered, worker_count
+from .parallel import map_ordered, release_freed_pages, worker_count
 from .randgeom import Histogram2D, McEstimate
 
 WSET_SCHEMA = "trimoduli.weighted-set.v1"
@@ -89,15 +91,27 @@ def _int_bytes(v) -> np.ndarray:
     v = np.array(v, dtype=np.uint64)
     width = len(str(int(v.max())))
     out = np.empty((width, len(v)), np.uint8)
-    rest = v
-    for k in range(width - 1, -1, -1):
-        # x // 10 by a scalar is several times faster than np.divmod
-        tens = rest // 10
-        out[k] = rest - tens * 10
-        rest = tens
+    # 9-digit uint32 limbs by one uint64 division each, least significant
+    # first; uint32 division by a scalar is about 3x faster than uint64
+    rest, end = v, width
+    while end > 9:
+        high = rest // 10**9
+        _limb_digits(out[end - 9 : end], (rest - high * 10**9).astype(np.uint32))
+        rest, end = high, end - 9
+    _limb_digits(out[:end], rest.astype(np.uint32))
     out += 48
     out[:-1] *= v >= _POW10[width - 1 : 0 : -1, None]
     return out
+
+
+def _limb_digits(out, limb) -> None:
+    """The last len(out) decimal digits of the uint32 column limb into the
+    byte rows of out, most significant first."""
+    for k in range(len(out) - 1, -1, -1):
+        # x // 10 by a scalar is several times faster than np.divmod
+        tens = limb // 10
+        out[k] = limb - tens * 10
+        limb = tens
 
 
 def _mul_shift(v, f, t):
@@ -131,9 +145,16 @@ def _shortest_digits(x):
     g, g_r = (2 * f) >> t, (2 * f) & low
     lo = xk - g - (r < g_r) + 1
     hi = xk + g + ((r + g_r) >> t)
-    # the largest power of ten 10^j with a multiple in [lo, hi]
+    # the largest power of ten 10^j with a multiple in [lo, hi].  Once a
+    # power has none, no larger one has, so the first steps, where most rows
+    # stop, count over all rows; only the rows still going are compacted
     j = np.zeros(len(m), np.uint64)
-    rows, up, down = np.arange(len(m)), lo, hi
+    up, down = lo, hi
+    for _ in range(3):
+        up, down = (up + 9) // 10, down // 10
+        j += up <= down
+    rows = np.flatnonzero(j == 3)
+    up, down = up[rows], down[rows]
     while rows.size:
         up, down = (up + 9) // 10, down // 10
         keep = up <= down
@@ -172,13 +193,13 @@ def _rows_text(head: str, template, fields_of, rows: int, tail: str) -> str:
     """head, the rows laid out by the template, and tail.  fields_of(start)
     gives the field blocks of rows start .. start + CHECK_ROWS.  Each chunk's
     job, on the threads of parallel.map_ordered, stacks its literals and
-    fields into one byte block and writes it out row by row without its NULs;
-    the caller appends the chunks in order onto one bytearray, decoded once.
-    Grown in place, it leaves no text among the freed temporaries, and 2^13
-    rows at a time keep the byte copies near 1 MB: the peak RSS of an export
-    stays that of the text held twice, plus the chunks in flight."""
+    fields into one byte block, writes it out row by row without its NULs
+    and decodes it; the caller joins head, the chunks in order and tail
+    once.  2^13 rows at a time keep the byte copies near 1 MB: the peak RSS
+    of an export stays that of the text held twice, as the chunks and the
+    joined str, plus the chunks in flight."""
 
-    def chunk_bytes(start):
+    def chunk_text(start):
         fields = fields_of(start)
         n = fields[0].shape[1]
         parts = [_literal(part, n) if isinstance(part, str) else fields[part] for part in template]
@@ -188,19 +209,25 @@ def _rows_text(head: str, template, fields_of, rows: int, tail: str) -> str:
         block = np.empty((sum(map(len, parts)), n + 64), np.uint8)[:, :n]
         np.concatenate(parts, out=block)
         del fields, parts
-        return b"".join(
-            block[:, k : k + (1 << 13)].T.tobytes().translate(None, b"\0")
-            for k in range(0, n, 1 << 13)
-        )
+        texts = []
+        for k in range(0, n, 1 << 13):
+            flat = block[:, k : k + (1 << 13)].T.ravel()
+            # a boolean compress drops the NULs without holding the GIL
+            texts.append(str(flat[flat != 0].data, "ascii"))
+        return "".join(texts)
 
-    text = bytearray(head.encode())
     skip = len(template[0])  # the row separator, dropped before the first row
     starts = [(start,) for start in range(0, rows, CHECK_ROWS)]
-    for chunk in map_ordered(chunk_bytes, starts, worker_count()):
-        text += memoryview(chunk)[skip:]
-        skip = 0
-    text += tail.encode()
-    return text.decode("ascii")
+    chunks = [head, *map_ordered(chunk_text, starts, worker_count()), tail]
+    if rows:
+        chunks[1] = chunks[1][skip:]
+    text = "".join(chunks)
+    # the chunks were allocated on the pool's threads: without this the pages
+    # of 120 MB of freed chunks at n = 31 stay with the process, under the
+    # peak of what comes next, such as read_weighted_set's parse
+    del chunks
+    release_freed_pages()
+    return text
 
 
 def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:

@@ -306,6 +306,15 @@ class TestParallelPath:
                 seen.append(value)
         assert seen == [0.25, 0.5, 1.0]
 
+    def test_map_ordered_runs_a_lone_call_in_the_calling_thread(self):
+        import threading
+
+        from trimoduli.parallel import map_ordered
+
+        assert list(map_ordered(threading.get_ident, [()], 2)) == [threading.get_ident()]
+        with pytest.raises(ZeroDivisionError):
+            list(map_ordered(_inverse, [(0,)], 2))
+
 
 def _square(i):
     return i * i

@@ -261,6 +261,29 @@ class TestWeightedShapeSet:
         with pytest.raises(ValueError, match="must be sorted by"):
             tm.WeightedShapeSet.from_columns(p, q, q, w)
 
+    def test_from_columns_raises_the_earliest_bad_slice_on_the_pool(self, monkeypatch):
+        monkeypatch.setenv(tm.ENV_THREADS, "2")
+        monkeypatch.setattr("trimoduli.moduli.CHECK_ROWS", 7)
+        p, q, w = (col[:40] for col in self._odd_rows())
+        q[24] += 1  # not gcd-reduced, in slice 3 (rows 21 .. 27)
+        q[[8, 9]] = q[[9, 8]]  # unsorted, in slice 1 (rows 7 .. 13)
+        with pytest.raises(ValueError, match="must be sorted by"):
+            tm.WeightedShapeSet.from_columns(p, q, q, w)
+        q[[8, 9]] = q[[9, 8]]
+        with pytest.raises(ValueError, match="not gcd-reduced"):
+            tm.WeightedShapeSet.from_columns(p, q, q, w)
+        q[24] -= 1
+        q[-1] = KEY_BOUND + 1  # too wide, in the last slice (rows 35 .. 39)
+        with pytest.raises(tm.GuardError, match="below"):
+            tm.WeightedShapeSet.from_columns(p, q, q, w)
+
+    def test_from_columns_is_the_same_at_any_thread_count(self, monkeypatch, s31):
+        built = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv(tm.ENV_THREADS, threads)
+            built.append(tm.WeightedShapeSet.from_columns(*s31.columns()))
+        assert built[0] == built[1] == built[2] == s31
+
     @pytest.mark.parametrize(
         "cols",
         [

@@ -19,6 +19,15 @@ UNIT_SQUARE_CSV = (
     "p,q,r,weight,angle_class,a,b,c\n"
     "1,1,2,4,right,0.585786437626905,0.585786437626905,0.8284271247461902\n"
 )
+UNIT_SQUARE_JSON = (
+    '{"distinct_count": 1, "entries": [{"a": 0.585786437626905, "angle_class": "right", '
+    '"b": 0.585786437626905, "c": 0.8284271247461902, "p": 1, "q": 1, "r": 2, "weight": 4}], '
+    '"schema": "trimoduli.weighted-set.v1", "total_weight": 4}\n'
+)
+EMPTY_JSON = (
+    '{"distinct_count": 0, "entries": [], "schema": "trimoduli.weighted-set.v1", '
+    '"total_weight": 0}\n'
+)
 
 
 class TestWeightedSetCsv:
@@ -185,6 +194,25 @@ class TestWeightedSetRowTemplate:
         with pytest.raises(error, match="chunk failed"):
             tm.export_weighted_set(s, "csv")
 
+    @pytest.mark.parametrize(
+        "census, fmt, text",
+        [
+            ("empty", "csv", UNIT_SQUARE_CSV[: UNIT_SQUARE_CSV.index("1,")]),
+            ("empty", "json", EMPTY_JSON),
+            ("one-row", "csv", UNIT_SQUARE_CSV),
+            ("one-row", "json", UNIT_SQUARE_JSON),
+        ],
+    )
+    def test_empty_and_one_row_exports(self, census, fmt, text):
+        # the first chunk's row separator is sliced off its text; with no
+        # rows there is no chunk, and head and tail meet
+        if census == "empty":
+            s = tm.WeightedShapeSet({})
+        else:
+            s = tm.enumerate_naive((0, 1, 0, 1))
+        assert tm.export_weighted_set(s, fmt) == text
+        assert tm.read_weighted_set(text, fmt) == s
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_reader_rejects_a_field_above_int64(self, fmt):
         text = tm.export_weighted_set(tm.enumerate_naive((0, 1, 0, 1)), fmt)
@@ -201,6 +229,28 @@ class TestWeightedSetRowTemplate:
         bad = text[: end - 1] + str((int(text[end - 1]) + 1) % 10) + text[end:]
         with pytest.raises(tm.GuardError):
             tm.read_weighted_set(bad, fmt)
+
+
+class TestIntegerDigits:
+    """Integers are printed in 9-digit uint32 limbs, split off by uint64
+    division."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0, 9, 10, 10**9 - 1, 10**9, 10**9 + 1, 10**18 - 1, 10**18, 2**63 - 1, 2**64 - 1],
+            [0, 7, 10, 99, 12345678, 10**9 - 1],
+            [10**9 - 1, 3],
+            [0],
+        ],
+        ids=["limb-edges", "nine-digits", "nine-digits-first", "zero"],
+    )
+    def test_each_column_prints_as_str(self, values):
+        field = serialize._int_bytes(np.array(values, dtype=np.uint64))
+        assert len(field) == len(str(max(values)))
+        assert [bytes(col).replace(b"\0", b"").decode() for col in field.T] == list(
+            map(str, values)
+        )
 
 
 def _float_texts(values):
