@@ -27,7 +27,8 @@ count, one height per job on the threads of parallel.map_ordered, and
 merges the h-tables.  As a post-condition the total weight must equal
 C(N^2, 3) minus the collinear triples of the grid, or the run raises
 PrecisionError.  Squared sides are at most w^2 + h^2 <= 8 n^2, so the
-kernel computes in int32 and keys pack into one int64 word.
+kernel computes in int32, and every key packs into one int64 word by
+pack_key, its H_BITS low bits 0 in the census and a box height in the curve.
 
 The obtuse curve needs no census per n, because the rows of height h
 belong to every grid with 2n >= h.  obtuse_counts makes one pass over
@@ -48,7 +49,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import GuardError, PrecisionError, check_int_range
-from .lattice import pack_key, reduced_triple, unpack_key
+from .lattice import reduced_triple
 from .moduli import ModuliRegion, WeightedShapeSet
 from .parallel import map_ordered, release_freed_pages, worker_count
 
@@ -56,14 +57,29 @@ from .parallel import map_ordered, release_freed_pages, worker_count
 # 1.7 GB peak at 1 or 2 threads; the merge of the height tables sets it)
 # and about 200 M at n = 100, beyond a machine with 8 GB.
 MAX_N = 64
-# _box_keys computes in int32, as squared sides are at most 2 (2 MAX_N)^2
-# < 2^31; obtuse_counts encodes a packed key with its height h <= 2 MAX_N
-# as (key << H_BITS) | h, which needs 3 _pack_shift(MAX_N) + H_BITS <= 63
+# _box_keys computes in int32, as squared sides are at most 2 (2 MAX_N)^2 < 2^31;
+# pack_key holds them and a box height h <= 2 MAX_N in 3 KEY_BITS + H_BITS = 56 bits
+KEY_BITS = (8 * MAX_N * MAX_N).bit_length()
 H_BITS = (2 * MAX_N).bit_length()
 NAIVE_POINT_GUARD = 400  # enumerate_naive is cubic in the point count
 # heights whose keys join the seen keys at once in obtuse_counts: each
 # join sorts a copy of the seen array, so batching does it 16 times at n = 64
 FIRST_H_BATCH = 8
+
+
+def pack_key(p, q, r):
+    """p, q, r < 2^KEY_BITS in KEY_BITS bits apiece, in (p, q, r) order, above
+    H_BITS zero bits for a box height; for Python ints and numpy arrays alike."""
+    return (p << (2 * KEY_BITS + H_BITS)) | (q << (KEY_BITS + H_BITS)) | (r << H_BITS)
+
+
+def unpack_key(packed):
+    """The (p, q, r) fields of pack_key, whatever the height bits hold;
+    masked in place, so a census unpacks with no temporary beside them."""
+    p, q, r = (packed >> (k * KEY_BITS + H_BITS) for k in (2, 1, 0))
+    q &= (1 << KEY_BITS) - 1
+    r &= (1 << KEY_BITS) - 1
+    return p, q, r
 
 
 def _rows_over_y(mask, y):
@@ -118,10 +134,10 @@ def _merge(tables):
     return keys[starts], np.add.reduceat(weights, starts)
 
 
-def _box_keys(h: int, shift: int):
+def _box_keys(h: int):
     """The rows of _box_rows(h): their widths and orbit weights, their
     sorted unreduced squared sides (lo, mid, hi), all int32, and their
-    gcd-reduced keys packed with shift bits per entry, int64."""
+    gcd-reduced keys packed by pack_key, int64: p's and q's fields pass int32."""
     width, ay, bx, by, orbit = _box_rows(h)
     p0 = width * width + ay * ay
     q0 = bx * bx + by * by
@@ -130,22 +146,16 @@ def _box_keys(h: int, shift: int):
     hi = np.maximum(np.maximum(p0, q0), r0)
     mid = p0 + q0 + r0 - lo - hi
     g = np.gcd(np.gcd(lo, mid), hi)
-    # the sides fit int32 (see MAX_N), but p << 2 shift and q << shift do not
-    key = pack_key((lo // g).astype(np.int64), (mid // g).astype(np.int64), hi // g, shift)
+    key = pack_key((lo // g).astype(np.int64), (mid // g).astype(np.int64), hi // g)
     return width, orbit, (lo, mid, hi), key
 
 
 def _box_table(n: int, h: int):
     """Packed keys and census weights of the boxes of height h in [-n, n]^2."""
-    width, orbit, _, packed = _box_keys(h, _pack_shift(n))
+    width, orbit, _, packed = _box_keys(h)
     side = 2 * n + 1
     # int64 before the product: _merge sums the weights in their own dtype
     return _merge([(packed, orbit.astype(np.int64) * ((side - width) * (side - h)))])
-
-
-def _pack_shift(n: int) -> int:
-    # key entries are squared sides, at most 8 n^2
-    return (8 * n * n).bit_length()
 
 
 def _triangle_total(n: int) -> int:
@@ -170,20 +180,20 @@ def enumerate_weighted(n: int) -> WeightedShapeSet:
     # are held, and the small ones balance the end; _merge sorts all tables
     heights = [(n, h) for h in range(2 * n, 0, -1)]
     keys, weights = _merge(map_ordered(_box_table, heights, worker_count()))
-    total, expected = int(weights.sum()), _triangle_total(n)
+    p, q, r = unpack_key(keys)
+    del keys  # from_columns holds the peak; it needs only the columns
+    s = WeightedShapeSet.from_columns(p, q, r, weights)
+    total, expected = s.total_weight, _triangle_total(n)
     if total != expected:
         raise PrecisionError(f"census total {total} != closed-form triangle count {expected}")
-    p, q, r = unpack_key(keys, _pack_shift(n))
-    del keys  # from_columns holds the peak; it needs only the columns
-    return WeightedShapeSet.from_columns(p, q, r, weights)
+    return s
 
 
-def _height_cells(h: int, shift: int):
+def _height_cells(h: int):
     """One height of obtuse_counts: the orbit moments S0 = sum orbit and
     S1 = sum orbit w of the rows of box height h by cell (1 the obtuse
-    rows), and the height's distinct packed keys, sorted, each encoded with
-    its height as (key << H_BITS) | h."""
-    width, orbit, sides, packed = _box_keys(h, shift)
+    rows), and its sorted distinct packed keys, h in their height bits."""
+    width, orbit, sides, packed = _box_keys(h)
     cell = ModuliRegion.OBTUSE_ALL.key_mask(*sides)
     del sides
     s0 = np.bincount(cell, orbit, 2)
@@ -191,7 +201,6 @@ def _height_cells(h: int, shift: int):
     del width, orbit, cell
     packed.sort()
     packed = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
-    packed <<= H_BITS
     packed |= h
     return s0, s1, packed
 
@@ -209,18 +218,17 @@ def obtuse_counts(n_max: int) -> list[tuple[int, int, int, int]]:
     first height, the smallest h of its rows, is <= 2n.  The heights run
     one per job on the threads of parallel.map_ordered (_height_cells), and
     the calling thread takes them in height order, FIRST_H_BATCH heights at
-    a time.  It sorts each batch into the classes seen so far, each kept as
-    (key << H_BITS) | its first height, so the first entry of a key's run
-    has its smallest h, and a class is new when that h is in the batch.
+    a time.  It sorts each batch into the classes seen so far, each packed
+    with its first height in the height bits, so the first entry of a key's
+    run has its smallest h, and a class is new when that h is in the batch.
     A total off the closed-form triangle count raises PrecisionError."""
     n_max = check_int_range(n_max, "n_max", 1, MAX_N)
     heights = 2 * n_max
-    shift = _pack_shift(n_max)
     # S0, S1 and new classes by (cell, h); float bincounts are exact < 2^53
     s0, s1, firsts = np.zeros((3, 2, heights + 1), dtype=np.int64)
     low = (1 << H_BITS) - 1
     seen = np.zeros(0, dtype=np.int64)
-    cells = map_ordered(_height_cells, [(h, shift) for h in range(1, heights + 1)], worker_count())
+    cells = map_ordered(_height_cells, [(h,) for h in range(1, heights + 1)], worker_count())
     for start in range(1, heights + 1, FIRST_H_BATCH):
         batch = [seen]
         for h in range(start, min(start + FIRST_H_BATCH, heights + 1)):
@@ -234,7 +242,7 @@ def obtuse_counts(n_max: int) -> list[tuple[int, int, int, int]]:
         del keys
         seen = seen[head]
         new = seen[(seen & low) >= start]
-        cell = ModuliRegion.OBTUSE_ALL.key_mask(*unpack_key(new >> H_BITS, shift))
+        cell = ModuliRegion.OBTUSE_ALL.key_mask(*unpack_key(new))
         flat = np.bincount(cell * (heights + 1) + (new & low), minlength=firsts.size)
         firsts += flat.reshape(firsts.shape)
     # the pool's threads kept the pages of their freed kernel arrays,

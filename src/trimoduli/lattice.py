@@ -93,22 +93,6 @@ class SimilarityKey:
         return (self.p, self.q, self.r)
 
 
-def pack_key(p, q, r, shift: int):
-    """Pack a key triple into one integer, (p << 2 shift) | (q << shift) | r.
-
-    When every entry fits in shift bits the packing is injective and keeps
-    the lexicographic order of (p, q, r); with 3 shift <= 63 it fits an
-    int64.  Plain shifts, so it serves Python ints and numpy integer
-    arrays alike."""
-    return (p << (2 * shift)) | (q << shift) | r
-
-
-def unpack_key(packed, shift: int):
-    """Inverse of pack_key: the (p, q, r) fields of packed."""
-    mask = (1 << shift) - 1
-    return packed >> (2 * shift), (packed >> shift) & mask, packed & mask
-
-
 def reduced_triple(p0: int, q0: int, r0: int) -> tuple[int, int, int]:
     """Sort and gcd-reduce three squared side lengths.  Hot-path helper;
     performs no triangle validation."""

@@ -170,6 +170,11 @@ class ModuliRegion(Enum):
         return r < p + q
 
 
+def angle_class(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """0, 1 or 2 for acute, right or obtuse key columns: sign(r - p - q) + 1."""
+    return np.sign(r - p - q) + 1
+
+
 def uniform_target(region: ModuliRegion) -> float:
     """Mass the uniform measure on the labeled region assigns to region."""
     if region is ModuliRegion.FULL:
@@ -219,8 +224,8 @@ class WeightedShapeSet:
 
     @classmethod
     def from_columns(cls, p, q, r, w) -> "WeightedShapeSet":
-        """Build from parallel integer arrays (dtype kind 'i' or 'u') sorted
-        by (p, q, r); GuardError for any other dtype or for a key entry of
+        """Build from parallel 1-D integer arrays (dtype kind 'i' or 'u') sorted
+        by (p, q, r); GuardError for other shapes, dtypes or a key entry of
         KEY_BOUND or more, ValueError when the rows break an invariant.
         Takes its columns: a contiguous int64 column is kept without a copy
         and turns read-only for the caller too; any other column is copied.
@@ -228,8 +233,8 @@ class WeightedShapeSet:
         which this call holds."""
         cols = [np.asarray(col) for col in (p, q, r, w)]
         for col, name in zip(cols, ("p", "q", "r", "weight")):
-            if col.dtype.kind not in "iu":
-                raise GuardError(f"column {name} must be integers, got dtype {col.dtype}")
+            if col.dtype.kind not in "iu" or col.ndim != 1:
+                raise GuardError(f"column {name} must be 1-D integers, got {col.dtype} {col.shape}")
         self = object.__new__(cls)
         self._init_columns(*(np.ascontiguousarray(col, dtype=np.int64) for col in cols))
         return self

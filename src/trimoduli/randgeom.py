@@ -17,7 +17,6 @@ block-index order, so estimates are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import check_int_range, check_real
 from .moduli import HALF_PAIRS, MAX_BINS, normalized_sides, shape_grid
 from .parallel import map_ordered, worker_count
-from .rng import BLOCK_SAMPLES, block_generator, block_sizes, check_seed
+from .rng import BLOCK_SAMPLES, MAX_SAMPLES, block_generator, block_sizes, check_seed
 
 OBTUSE_MARGIN = 1e-15  # squared-length slack; ties count as not obtuse
 
@@ -47,8 +46,8 @@ def unit_square_mean_distance() -> float:
 @dataclass(frozen=True, slots=True)
 class McEstimate:
     """A Monte Carlo estimate with its standard error: a finite mean, a
-    finite std_error >= 0, samples >= 1 and a 64-bit seed (GuardError
-    otherwise)."""
+    finite std_error >= 0, 1 <= samples <= MAX_SAMPLES and a 64-bit seed
+    (GuardError otherwise)."""
 
     mean: float
     std_error: float
@@ -58,9 +57,8 @@ class McEstimate:
     def __post_init__(self):
         object.__setattr__(self, "mean", check_real(self.mean, "mean"))
         object.__setattr__(self, "std_error", check_real(self.std_error, "std_error", 0.0))
-        object.__setattr__(
-            self, "samples", check_int_range(self.samples, "samples", 1, sys.maxsize)
-        )
+        samples = check_int_range(self.samples, "samples", 1, MAX_SAMPLES)
+        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
@@ -145,7 +143,7 @@ def _distance_block(seed: int, index: int, size: int) -> tuple[float, float]:
 
 
 def _check_mc_args(samples, seed) -> tuple[int, int]:
-    samples = check_int_range(samples, "samples", MIN_SAMPLES, sys.maxsize)
+    samples = check_int_range(samples, "samples", MIN_SAMPLES, MAX_SAMPLES)
     return samples, check_seed(seed)
 
 
@@ -204,7 +202,7 @@ def shape_histogram(
     samples: int, bins: int, seed: int, labeled: bool = True
 ) -> Histogram2D:
     """Histogram of sampled triangle shapes on the ab-plane."""
-    samples = check_int_range(samples, "samples", 1, sys.maxsize)
+    samples = check_int_range(samples, "samples", 1, MAX_SAMPLES)
     bins = check_int_range(bins, "bins", 2, MAX_BINS)
     seed = check_seed(seed)
     grid, obtuse = _fold_blocks(_histogram_block, samples, seed, bins, labeled)

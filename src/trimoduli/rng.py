@@ -26,6 +26,8 @@ MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
 BLOCK_SAMPLES = 1 << 16
+# 2^20 block arguments fit in memory; 2^36 obtuse_probability samples take an hour
+MAX_SAMPLES = BLOCK_SAMPLES << 20
 
 
 def splitmix64(z: int) -> int:

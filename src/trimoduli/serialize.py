@@ -29,6 +29,7 @@ from .moduli import (
     CHECK_ROWS,
     ShapeTriple,
     WeightedShapeSet,
+    angle_class,
     normalized_sides,
     shape_of,
 )
@@ -65,7 +66,7 @@ _WSET_FORMATS = {
 # The rows are written as byte blocks: one uint8 row per byte position of the
 # text row and one column per row, NUL where a field is shorter than its width.
 _POW10 = np.uint64(10) ** np.arange(20, dtype=np.uint64)
-# the angle_class names by np.sign(r - p - q) + 1, one column each
+# the names of moduli.angle_class 0, 1 and 2, one column each
 _ANGLES = np.array([b"acute", b"right", b"obtuse"]).view(np.uint8).reshape(3, -1).T
 # by binary exponent e = -13..0 of a float x = m 2^(e - 53) in [1e-4, 1): the
 # decimal scale K, the largest with 2^e 10^K <= 2^63, so 2^62 / 10 < x 10^K < 2^63;
@@ -242,7 +243,7 @@ def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:
         p, q, r, w = (col[start : start + CHECK_ROWS] for col in cols)
         return (  # indexed by P, Q, R, W, ANGLE, A, B, C
             *map(_int_bytes, (p, q, r, w)),
-            _ANGLES[:, np.sign(r - p - q) + 1],
+            _ANGLES[:, angle_class(p, q, r)],
             *map(_float_bytes, normalized_sides(p, q, r)),
         )
 

@@ -91,7 +91,8 @@ class TestOneScanCurve:
 
     @pytest.mark.parametrize("k", [2, 5, 13])
     def test_points_do_not_depend_on_the_pack_shift(self, curve20, k):
-        # keys are packed with _pack_shift(n_max), so k and 20 pack differently
+        # a point does not depend on n_max: the curve of k folds fewer
+        # heights, in fewer FIRST_H_BATCH batches, than the curve of 20
         assert tm.obtuse_curve(k) == curve20[: k - 1]
 
     @pytest.fixture(scope="class")
@@ -335,7 +336,7 @@ class TestOrbitBinMasses:
         # float64, largest at h = 2 * MAX_N, and its int64 running sums
         # are bounded by N^2 A <= heights * sum orbit(2 * MAX_N) * N^2
         heights = 2 * tm.MAX_N
-        width, orbit, _, _ = enumeration._box_keys(heights, enumeration._pack_shift(tm.MAX_N))
+        width, orbit, _, _ = enumeration._box_keys(heights)
         assert int((orbit * width).sum()) == 1_073_627_136 < 2**53
         assert heights * int(orbit.sum()) * (heights + 1) ** 2 < 2**63
 

@@ -106,6 +106,16 @@ class TestExitCodes:
         assert "error: block failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv", [["mc-obtuse"], ["hist", "--bins", "8"]], ids=["obtuse", "hist"]
+    )
+    def test_sample_count_past_the_maximum_is_3(self, capsys, argv):
+        # at sys.maxsize the block argument list cannot be allocated
+        assert main([*argv, "--samples", str(sys.maxsize)]) == 3
+        assert "error: samples must be in" in capsys.readouterr().err
+        assert main([*argv, "--samples", str(tm.rng.MAX_SAMPLES + 1)]) == 3
+        assert "error: samples must be in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         ("error", "code"), [(tm.PrecisionError, 4), (tm.GuardError, 3)], ids=["precision", "guard"]
     )
     def test_census_height_error_keeps_its_exit_code(
@@ -133,10 +143,10 @@ class TestExitCodes:
     ):
         height_cells = tm.enumeration._height_cells
 
-        def fail_at_height_4(h, shift):
+        def fail_at_height_4(h):
             if h == 4:
                 raise error("height failed")
-            return height_cells(h, shift)
+            return height_cells(h)
 
         monkeypatch.setenv(tm.ENV_THREADS, "2")
         monkeypatch.setattr("trimoduli.enumeration._height_cells", fail_at_height_4)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import trimoduli as tm
 from trimoduli import enumeration
-from trimoduli.lattice import unpack_key
+from trimoduli.enumeration import H_BITS, KEY_BITS, pack_key, unpack_key
 
 
 def box_triangle_count(w: int, h: int) -> int:
@@ -42,12 +42,12 @@ def brute_box_triangle_count(w: int, h: int) -> int:
 
 def census_from_tables(n, tables):
     keys, weights = enumeration._merge(tables)
-    return tm.WeightedShapeSet.from_columns(*unpack_key(keys, enumeration._pack_shift(n)), weights)
+    return tm.WeightedShapeSet.from_columns(*unpack_key(keys), weights)
 
 
-def box_keys_int64(h: int, shift: int):
-    """_box_keys(h, shift) from an int64 broadcast over the box's (w, x, y)
-    grid: widths, orbits, sorted unreduced sides and packed reduced keys."""
+def box_keys_int64(h: int):
+    """_box_keys(h) from an int64 broadcast over the box's (w, x, y) grid:
+    widths, orbits, sorted unreduced sides and packed reduced keys."""
     w = np.arange(1, h + 1, dtype=np.int64)[:, None, None]
     x = np.arange(h + 1, dtype=np.int64)[None, :, None]
     y = np.arange(h + 1, dtype=np.int64)[None, None, :]
@@ -63,7 +63,8 @@ def box_keys_int64(h: int, shift: int):
     by = np.concatenate((np.full(len(fw), h), dy))
     sides = np.sort([width**2 + ay**2, bx**2 + by**2, (bx - width) ** 2 + (by - ay) ** 2], axis=0)
     lo, mid, hi = sides // np.gcd.reduce(sides, axis=0)
-    return width, orbit, sides, (lo << 2 * shift) | (mid << shift) | hi
+    # KEY_BITS bits per entry above H_BITS zero bits
+    return width, orbit, sides, ((lo << KEY_BITS | mid) << KEY_BITS | hi) << H_BITS
 
 
 def collinear_triples_on_grid(side: int) -> int:
@@ -167,18 +168,36 @@ class TestWeightedCensus:
     def test_int32_kernel_equals_int64_at_the_largest_height(self):
         # _box_keys computes in int32; at h = 2 MAX_N, where the squared
         # sides reach 2 (2 MAX_N)^2, it must equal the int64 formula
-        h, shift = 2 * tm.MAX_N, enumeration._pack_shift(tm.MAX_N)
+        h = 2 * tm.MAX_N
         assert 2 * h**2 < 2**31
-        # obtuse_counts' (key << H_BITS) | h holds every height and fits int64
-        assert h < 2**enumeration.H_BITS
-        assert 3 * shift + enumeration.H_BITS <= 63
-        width, orbit, sides, keys = enumeration._box_keys(h, shift)
-        ref_width, ref_orbit, ref_sides, ref_keys = box_keys_int64(h, shift)
+        # a packed key holds every key entry, every height in its low bits,
+        # and fits int64
+        assert 8 * tm.MAX_N**2 < 2**KEY_BITS
+        assert h < 2**H_BITS
+        assert 3 * KEY_BITS + H_BITS <= 63
+        width, orbit, sides, keys = enumeration._box_keys(h)
+        ref_width, ref_orbit, ref_sides, ref_keys = box_keys_int64(h)
         assert int(ref_sides.max()) == 2 * h**2
         assert np.array_equal(width, ref_width)
         assert np.array_equal(orbit, ref_orbit)
         assert np.array_equal(np.stack(sides), ref_sides)
         assert np.array_equal(keys, ref_keys)
+
+    def test_pack_key_round_trip_and_order(self):
+        # 8 MAX_N^2 = 32,768 is the largest key entry of any census
+        big = 8 * tm.MAX_N**2
+        triples = sorted([(1, 1, 2), (1, 2, 5), (2, 9, 17), (1, 31, 31), (3, 3, 4), (1, big, big)])
+        p, q, r = (np.array(col, dtype=np.int64) for col in zip(*triples))
+        packed = pack_key(p, q, r)
+        assert np.all(np.diff(packed) > 0)  # lexicographic order survives
+        assert [pack_key(*t) for t in triples] == packed.tolist()
+        for h in (0, 1, 2**H_BITS - 1):
+            # a height in the low bits changes neither the fields nor the order
+            keyed = packed | h
+            assert np.all(np.diff(keyed) > 0)
+            for col, back in zip((p, q, r), unpack_key(keyed)):
+                assert np.array_equal(col, back)
+        assert unpack_key(pack_key(2, 9, 17) | 5) == (2, 9, 17)
 
     def test_box_closed_form_matches_brute_force(self):
         for w in range(1, 7):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimoduli as tm
-from trimoduli.lattice import pack_key, unpack_key
 
 coord = st.integers(min_value=-50, max_value=50)
 
@@ -238,15 +237,3 @@ def test_no_equilateral_exhaustive_small_grid():
 def test_reduced_triple_matches_key_path():
     assert tm.reduced_triple(8, 8, 16) == (1, 1, 2)
     assert tm.reduced_triple(17, 2, 9) == (2, 9, 17)
-
-
-def test_pack_key_round_trip_and_order():
-    shift = 5
-    triples = sorted([(1, 1, 2), (1, 2, 5), (2, 9, 17), (1, 31, 31), (3, 3, 4)])
-    p, q, r = (np.array(col, dtype=np.int64) for col in zip(*triples))
-    packed = pack_key(p, q, r, shift)
-    assert np.all(np.diff(packed) > 0)  # lexicographic order survives
-    assert [pack_key(*t, shift) for t in triples] == packed.tolist()
-    for col, back in zip((p, q, r), unpack_key(packed, shift)):
-        assert np.array_equal(col, back)
-    assert unpack_key(pack_key(2, 9, 17, shift), shift) == (2, 9, 17)

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trimoduli as tm
-from trimoduli.moduli import CHECK_ROWS, KEY_BOUND, exact_sum, normalized_sides, shape_grid
+from trimoduli.moduli import (
+    CHECK_ROWS,
+    KEY_BOUND,
+    angle_class,
+    exact_sum,
+    normalized_sides,
+    shape_grid,
+)
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
@@ -154,6 +161,8 @@ class TestRegions:
         }
         for region, mask in expected.items():
             assert region.key_mask(p, q, r).tolist() == mask
+        # 0 acute, 1 right, 2 obtuse
+        assert angle_class(p, q, r).tolist() == [1, 2, 0, 1]
 
 
 class TestShapeGrid:
@@ -238,6 +247,8 @@ class TestWeightedShapeSet:
             tm.WeightedShapeSet.from_columns(
                 *mk((1, 1, 2, 1), (1, 1, 2, 3))
             )  # duplicate key
+        with pytest.raises(tm.GuardError, match="1-D"):
+            tm.WeightedShapeSet.from_columns(*[np.array([[1, 1]])] * 4)  # 2-D
 
     # rows (2, 2k + 3, 2k + 3) are valid and strictly increasing; the
     # checks run in slices of CHECK_ROWS rows, and a fault on either side

@@ -9,7 +9,7 @@ import pytest
 import trimoduli as tm
 from trimoduli import randgeom
 from trimoduli.moduli import LABELED_PAIRS, normalized_sides, shape_grid
-from trimoduli.rng import block_generator
+from trimoduli.rng import MAX_SAMPLES, block_generator
 
 
 @pytest.mark.parametrize(
@@ -267,6 +267,7 @@ class TestMcEstimate:
             {"mean": "0.5"},
             {"samples": True},
             {"samples": 10.0},
+            {"samples": MAX_SAMPLES + 1},
             {"seed": True},
             {"seed": 1 << 64},
         ],
