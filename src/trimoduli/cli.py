@@ -8,10 +8,12 @@ and main writes that text to --out, or to stdout for '-'.
 Exit codes: 0 success, 2 usage errors (argparse), 3 violated guards
 (GuardError) or other invalid values (ValueError), 4 failed numeric
 post-conditions (PrecisionError), 1 I/O failures.  The Monte Carlo
-sampler blocks, the census box heights and the export chunks run on
-threads of this process, so an exception raised in one reaches main with
-its own type.  All outputs are deterministic for identical flags;
-TRIMODULI_THREADS only sets the thread count and never changes bytes.
+sampler blocks, the box heights of the census and of the obtuse curve,
+the key ranges that merge their height tables, the slice checks of
+from_columns and the export chunks run on threads of this process, so
+an exception raised in one reaches main with its own type.  All outputs
+are deterministic for identical flags; TRIMODULI_THREADS only sets the
+thread count and never changes bytes.
 """
 
 from __future__ import annotations

@@ -15,20 +15,23 @@ when w < h (t = 1 when w = h):
     bottom corners    (0,0), (w,0), (x,h), 0 < x < w               2t
     left corners      (0,0), (0,h), (w,y), 0 < y < h               2t
     diagonal corners  (0,0), (w,h), a box point off the corners
-                      and off the diagonal (x h != y w)             2t
+                      on one side, x h > y w                        4t
     three corners     (0,0), (w,0), (0,h)                          4t
 
-So the orbit weights of a box sum to the number of triangles whose exact
-box is w x h, T(w, h) = 4(w-1)(h-1) + 2(w-1) + 2(h-1) + 4
+The diagonal rows keep one side of the diagonal: the box's half turn
+swaps the sides and maps each such row onto a congruent one.  So the
+orbit weights of a box sum to the number of triangles whose exact box is
+w x h, T(w, h) = 4(w-1)(h-1) + 2(w-1) + 2(h-1) + 4
 + 2((w+1)(h+1) - 3 - gcd(w, h)).  One per-height kernel, _box_keys,
 gives the rows of box height h, their sorted squared sides and their
 gcd-reduced packed keys.  The census weights those keys by translate
 count, one height per job on the threads of parallel.map_ordered, and
-merges the h-tables.  As a post-condition the total weight must equal
-C(N^2, 3) minus the collinear triples of the grid, or the run raises
-PrecisionError.  Squared sides are at most w^2 + h^2 <= 8 n^2, so the
-kernel computes in int32, and every key packs into one int64 word by
-pack_key, its H_BITS low bits 0 in the census and a box height in the curve.
+merges the h-tables by key range, one range per job on the same threads.
+As a post-condition the total weight must equal C(N^2, 3) minus the
+collinear triples of the grid, or the run raises PrecisionError.
+Squared sides are at most w^2 + h^2 <= 8 n^2, so the kernel computes in
+int32, and every key packs into one int64 word by pack_key, its H_BITS
+low bits 0 in the census and a box height in the curve.
 
 The obtuse curve needs no census per n, because the rows of height h
 belong to every grid with 2n >= h.  obtuse_counts makes one pass over
@@ -37,13 +40,15 @@ threads, and fills three (cell, height) tables, cell 1 the obtuse rows:
 the orbit moments S0 = sum orbit and S1 = sum orbit w, whose running sums
 give every n's weights in closed form, and the number of classes whose
 first, smallest, height is h, whose running sums are every n's distinct
-counts.
+counts.  The height tables are split into the same key ranges as the
+census's, and each range's job counts its classes by first height.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -54,17 +59,18 @@ from .moduli import ModuliRegion, WeightedShapeSet
 from .parallel import map_ordered, release_freed_pages, worker_count
 
 # The key count grows like n^4: 1.9 M at n = 31, 33.9 M at n = 64 (a
-# 1.7 GB peak at 1 or 2 threads; the merge of the height tables sets it)
-# and about 200 M at n = 100, beyond a machine with 8 GB.
+# 1.4 GB peak at 1 or 2 threads, set by the 50.5 M rows of the height tables
+# beside their merged ranges) and about 200 M at n = 100, beyond a
+# machine with 8 GB.
 MAX_N = 64
 # _box_keys computes in int32, as squared sides are at most 2 (2 MAX_N)^2 < 2^31;
 # pack_key holds them and a box height h <= 2 MAX_N in 3 KEY_BITS + H_BITS = 56 bits
 KEY_BITS = (8 * MAX_N * MAX_N).bit_length()
 H_BITS = (2 * MAX_N).bit_length()
 NAIVE_POINT_GUARD = 400  # enumerate_naive is cubic in the point count
-# heights whose keys join the seen keys at once in obtuse_counts: each
-# join sorts a copy of the seen array, so batching does it 16 times at n = 64
-FIRST_H_BATCH = 8
+# height-table rows per key-range job of the census and curve merges; the
+# range count follows the rows, not the thread count
+RANGE_KEYS = 1 << 17
 
 
 def pack_key(p, q, r):
@@ -98,14 +104,15 @@ def _box_rows(h: int):
     # (0,0), (w,y), (x,h) with 0 <= x < w, 0 <= y < h: one corner, the
     # bottom corners (y = 0), the left corners (x = 0) or three corners
     fw, fx, fy = _rows_over_y(x < w, x[:h])
-    # (0,0), (w,h), (x,y) off the diagonal and off the corners (w,0), (0,h)
-    dw, dx, dy = _rows_over_y(x <= w, x)
-    keep = (dx * h != dy * dw) & ~((dx == dw) & (dy == 0)) & ~((dx == 0) & (dy == h))
+    # (0,0), (w,h), (x,y) below the diagonal, x h > y w (so 0 < x, y < h),
+    # off the corner (w,0); the half turn maps them onto the rows above it
+    dw, dx, dy = _rows_over_y((0 < x) & (x <= w), x[:h])
+    keep = (dx * h > dy * dw) & ~((dx == dw) & (dy == 0))
     dw, dx, dy = dw[keep], dx[keep], dy[keep]
 
     one, two, four = np.int32(1), np.int32(2), np.int32(4)
     width = np.concatenate((fw, dw))
-    flips = np.concatenate((np.where((fx == 0) == (fy == 0), four, two), np.full(len(dw), two)))
+    flips = np.concatenate((np.where((fx == 0) == (fy == 0), four, two), np.full(len(dw), four)))
     orbit = flips * np.where(width < h, two, one)
     ay = np.concatenate((fy, np.full(len(dw), h, np.int32)))
     bx = np.concatenate((fx, dx))
@@ -113,25 +120,43 @@ def _box_rows(h: int):
     return width, ay, bx, by, orbit
 
 
+def _heads(keys):
+    """True at the first entry of each run of equal keys; empty for no keys."""
+    return np.diff(keys, prepend=-1) != 0
+
+
 def _merge(tables):
     """Sorted distinct keys and their summed int64 weights, from (keys,
-    weights) tables in any order.  Each input array is released once it
-    is copied, which keeps the peak at four arrays of the total length."""
+    weights) tables in any order, all of them empty in an empty key range.
+    The peak is four arrays of the total length."""
     keys, weights = zip(*tables)
-    several = len(keys) > 1
     keys = np.concatenate(keys)
     weights = np.concatenate(weights)
-    if several:
-        # the census tables come from the pool's threads: their freed pages
-        # handed back before the sort allocates, the n = 64 peak is 1.7 GB,
-        # not 2.4
-        release_freed_pages()
     order = np.argsort(keys)
     keys = keys[order]
     weights = weights[order]
     del order
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    starts = np.flatnonzero(_heads(keys))
     return keys[starts], np.add.reduceat(weights, starts)
+
+
+def _key_ranges(reduce, tables):
+    """reduce(slices) for each range of packed keys, in key order, one range
+    per job on the threads of map_ordered.  tables are tuples of aligned
+    arrays, the first sorted packed keys, and slices holds each table's rows
+    in the range.  The ceil(rows / RANGE_KEYS) ranges split at evenly spaced
+    keys of the largest table with their H_BITS cleared, so every row of a
+    key, whatever its height bits, falls in one range."""
+    keys = [table[0] for table in tables]
+    largest = max(keys, key=len)
+    ranges = -(-sum(map(len, keys)) // RANGE_KEYS)
+    splitters = largest[np.arange(1, ranges) * len(largest) // ranges] & -(1 << H_BITS)
+    bounds = [[0, *np.searchsorted(k, splitters).tolist(), len(k)] for k in keys]
+
+    def job(i):
+        return reduce([tuple(col[b[i]:b[i + 1]] for col in t) for t, b in zip(tables, bounds)])
+
+    return map_ordered(job, [(i,) for i in range(ranges)], worker_count())
 
 
 def _box_keys(h: int):
@@ -177,12 +202,29 @@ def enumerate_weighted(n: int) -> WeightedShapeSet:
     keyed by similarity class."""
     n = check_int_range(n, "n", 1, MAX_N)
     # a height's cost grows like h^3: the largest run first, while few tables
-    # are held, and the small ones balance the end; _merge sorts all tables
+    # are held, and the small ones balance the end; _merge sorts each range
     heights = [(n, h) for h in range(2 * n, 0, -1)]
-    keys, weights = _merge(map_ordered(_box_table, heights, worker_count()))
-    p, q, r = unpack_key(keys)
-    del keys  # from_columns holds the peak; it needs only the columns
-    s = WeightedShapeSet.from_columns(p, q, r, weights)
+    tables = list(map_ordered(_box_table, heights, worker_count()))
+    parts = list(_key_ranges(_merge, tables))
+    # the tables came from the pool's threads, whose malloc arenas keep the
+    # freed pages: handed back before the columns are allocated
+    del tables
+    release_freed_pages()
+    count = sum(len(keys) for keys, _ in parts)
+    p, q, r, w = (np.empty(count, np.int64) for _ in range(4))
+    start = 0
+    for i, (keys, weights) in enumerate(parts):
+        parts[i] = None  # each part freed once it is copied
+        rows = slice(start, start + len(keys))
+        p[rows], q[rows], r[rows] = unpack_key(keys)
+        w[rows] = weights
+        start = rows.stop
+        if i % 64 == 63:
+            # the parts came from the pool's threads too: their freed pages
+            # handed back as the columns fill, the n = 64 peak is the tables
+            # beside the parts, 1.34 GB, not the columns beside them, 1.58
+            release_freed_pages()
+    s = WeightedShapeSet.from_columns(p, q, r, w)
     total, expected = s.total_weight, _triangle_total(n)
     if total != expected:
         raise PrecisionError(f"census total {total} != closed-form triangle count {expected}")
@@ -200,9 +242,21 @@ def _height_cells(h: int):
     s1 = np.bincount(cell, orbit * width, 2)
     del width, orbit, cell
     packed.sort()
-    packed = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
+    packed = packed[_heads(packed)]
     packed |= h
     return s0, s1, packed
+
+
+def _first_heights(size: int, slices):
+    """One key range of obtuse_counts: its classes counted by (cell, first
+    height) in a flat table of 2 size entries, from each height's keys in
+    the range.  Sorted, a class's first entry holds its smallest height."""
+    keyed = np.concatenate([keys for keys, in slices])
+    keyed.sort()
+    first = keyed[_heads(keyed >> H_BITS)]
+    del keyed
+    cell = ModuliRegion.OBTUSE_ALL.key_mask(*unpack_key(first))
+    return np.bincount(cell * size + (first & ((1 << H_BITS) - 1)), minlength=2 * size)
 
 
 def obtuse_counts(n_max: int) -> list[tuple[int, int, int, int]]:
@@ -216,38 +270,26 @@ def obtuse_counts(n_max: int) -> list[tuple[int, int, int, int]]:
     h <= 2n of (N - h)(N S0 - S1) = N^2 A - N B + C, with A, B and C the
     running sums of S0, h S0 + S1 and h S1.  A class is in grid n when its
     first height, the smallest h of its rows, is <= 2n.  The heights run
-    one per job on the threads of parallel.map_ordered (_height_cells), and
-    the calling thread takes them in height order, FIRST_H_BATCH heights at
-    a time.  It sorts each batch into the classes seen so far, each packed
-    with its first height in the height bits, so the first entry of a key's
-    run has its smallest h, and a class is new when that h is in the batch.
-    A total off the closed-form triangle count raises PrecisionError."""
+    one per job on the threads of parallel.map_ordered (_height_cells),
+    largest first, each returning its distinct keys with h in their height
+    bits.  Their tables are then split by key range, one range per job on
+    the same threads (_first_heights), and every class counted once, at
+    its first height.  A total off the closed-form triangle count raises
+    PrecisionError."""
     n_max = check_int_range(n_max, "n_max", 1, MAX_N)
     heights = 2 * n_max
-    # S0, S1 and new classes by (cell, h); float bincounts are exact < 2^53
-    s0, s1, firsts = np.zeros((3, 2, heights + 1), dtype=np.int64)
-    low = (1 << H_BITS) - 1
-    seen = np.zeros(0, dtype=np.int64)
-    cells = map_ordered(_height_cells, [(h,) for h in range(1, heights + 1)], worker_count())
-    for start in range(1, heights + 1, FIRST_H_BATCH):
-        batch = [seen]
-        for h in range(start, min(start + FIRST_H_BATCH, heights + 1)):
-            s0[:, h], s1[:, h], keyed = next(cells)
-            batch.append(keyed)
-        seen = np.concatenate(batch)
-        del batch, keyed
-        seen.sort()
-        keys = seen >> H_BITS
-        head = np.concatenate(([True], keys[1:] != keys[:-1]))
-        del keys
-        seen = seen[head]
-        new = seen[(seen & low) >= start]
-        cell = ModuliRegion.OBTUSE_ALL.key_mask(*unpack_key(new))
-        flat = np.bincount(cell * (heights + 1) + (new & low), minlength=firsts.size)
-        firsts += flat.reshape(firsts.shape)
-    # the pool's threads kept the pages of their freed kernel arrays,
-    # 60-300 MB after the n = 64 pass
+    # S0 and S1 by (cell, h); float bincounts are exact < 2^53
+    s0, s1 = np.zeros((2, 2, heights + 1), dtype=np.int64)
+    order = range(heights, 0, -1)
+    cells = map_ordered(_height_cells, [(h,) for h in order], worker_count())
+    tables = []
+    for h, (height_s0, height_s1, keyed) in zip(order, cells):
+        s0[:, h], s1[:, h] = height_s0, height_s1
+        tables.append((keyed,))
+    # the pool's threads kept the pages of their freed kernel arrays: handed
+    # back before the ranges allocate
     release_freed_pages()
+    firsts = sum(_key_ranges(partial(_first_heights, heights + 1), tables)).reshape(2, -1)
     # running sums at the columns h = 2n, where N = h + 1
     h = np.arange(heights + 1)
     side = h[2::2] + 1

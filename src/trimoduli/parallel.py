@@ -2,11 +2,11 @@
 
 TRIMODULI_THREADS sets the number of threads that run the Monte Carlo
 sampler blocks, the box heights of the census and of the obtuse curve,
-the slice checks of WeightedShapeSet.from_columns and the export chunks
-(numpy releases the GIL inside their kernels); it defaults to the CPUs
-this process may use.  Results never depend on the worker count: work is
-split into fixed blocks and block results are reduced in block-index
-order.
+the key ranges that merge their height tables, the slice checks of
+WeightedShapeSet.from_columns and the export chunks (numpy releases the
+GIL inside their kernels); it defaults to the CPUs this process may use.
+Results never depend on the worker count: work is split into fixed
+blocks and block results are reduced in block-index order.
 """
 
 from __future__ import annotations

@@ -92,22 +92,22 @@ class TestOneScanCurve:
     @pytest.mark.parametrize("k", [2, 5, 13])
     def test_points_do_not_depend_on_the_pack_shift(self, curve20, k):
         # a point does not depend on n_max: the curve of k folds fewer
-        # heights, in fewer FIRST_H_BATCH batches, than the curve of 20
+        # heights, in fewer key ranges, than the curve of 20
         assert tm.obtuse_curve(k) == curve20[: k - 1]
 
     @pytest.fixture(scope="class")
-    def counts12(self):
-        return enumeration.obtuse_counts(12)
+    def counts3(self):
+        return enumeration.obtuse_counts(3)
 
-    # the heights run on the pool and join the seen keys FIRST_H_BATCH at a
-    # time; neither the thread count nor the batch may change a count: one
-    # h at a time, and one batch (567 exceeds every height count here)
-    @pytest.mark.parametrize("h_batch", [1, 567])
+    # the heights run on the pool, and their 304 keys are folded by key
+    # range on it; neither the thread count nor the ranges may change a
+    # count: one key per range, 7, and one range (567 exceeds the keys)
+    @pytest.mark.parametrize("range_keys", [1, 7, 567])
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
-    def test_thread_and_batch_split_invariance(self, counts12, monkeypatch, h_batch, threads):
+    def test_thread_and_batch_split_invariance(self, counts3, monkeypatch, range_keys, threads):
         monkeypatch.setenv(tm.ENV_THREADS, threads)
-        monkeypatch.setattr(enumeration, "FIRST_H_BATCH", h_batch)
-        assert enumeration.obtuse_counts(12) == counts12
+        monkeypatch.setattr(enumeration, "RANGE_KEYS", range_keys)
+        assert enumeration.obtuse_counts(3) == counts3
 
     def test_total_mismatch_fails_loudly(self, monkeypatch):
         closed_form = enumeration._triangle_total
@@ -127,15 +127,15 @@ class TestScaleLaws:
     """Measured rates, not limits: the census's obtuse and right weight
     shares differ from the random-triangle law by O(ln n / n^2)."""
 
-    def test_obtuse_gap_to_langford_scales_as_log_n_over_n_squared(self, curve31):
-        # law 1: gap * n^2 / ln n is 0.88465 at n = 4, 0.84674 at 8 and
-        # 0.83020 at 31
+    def test_obtuse_gap_to_langford_scales_as_log_n_over_n_squared(self):
+        # law 1: gap * n^2 / ln n falls at every n from 4 to MAX_N = 64
         limit = 97 / 150 + math.pi / 40
-        rate = {
-            pt.n: (limit - pt.weighted_fraction) * pt.n**2 / math.log(pt.n) for pt in curve31
-        }
-        assert all(rate[n + 1] < rate[n] for n in range(4, 31))
-        assert all(0.82 <= rate[n] <= 0.85 for n in range(8, 32))
+        curve = tm.obtuse_curve(tm.MAX_N)
+        rate = {pt.n: (limit - pt.weighted_fraction) * pt.n**2 / math.log(pt.n) for pt in curve}
+        assert all(rate[n + 1] < rate[n] for n in range(4, tm.MAX_N))
+        assert all(0.8235 <= rate[n] <= 0.8468 for n in range(8, tm.MAX_N + 1))
+        pinned = {4: 0.88465, 8: 0.84674, 16: 0.83610, 31: 0.83020, 48: 0.82621, 64: 0.82358}
+        assert {n: round(rate[n], 5) for n in pinned} == pinned
 
     def test_right_weight_share_scales_as_log_n_over_n_squared(self, s31):
         # law 2: right classes (r = p + q) have measure zero in shape space,

@@ -45,18 +45,22 @@ def census_from_tables(n, tables):
     return tm.WeightedShapeSet.from_columns(*unpack_key(keys), weights)
 
 
-def box_keys_int64(h: int):
+def box_keys_int64(h: int, both_sides: bool = False):
     """_box_keys(h) from an int64 broadcast over the box's (w, x, y) grid:
-    widths, orbits, sorted unreduced sides and packed reduced keys."""
+    widths, orbits, sorted unreduced sides and packed reduced keys.  The
+    diagonal rows take one side of the diagonal, x h > y w, at twice the
+    orbit, as _box_rows does, or with both_sides every box point off it."""
     w = np.arange(1, h + 1, dtype=np.int64)[:, None, None]
     x = np.arange(h + 1, dtype=np.int64)[None, :, None]
     y = np.arange(h + 1, dtype=np.int64)[None, None, :]
     # one corner: (0,0), (w,y), (x,h); diagonal: (0,0), (w,h), (x,y)
     fw, fx, fy = np.nonzero((x < w) & (y < h))
     corner = ((x == 0) | (x == w)) & ((y == 0) | (y == h))
-    dw, dx, dy = np.nonzero((x <= w) & ~corner & (x * h != y * w))
+    side = x * h != y * w if both_sides else x * h > y * w
+    dw, dx, dy = np.nonzero((x <= w) & ~corner & side)
     width = np.concatenate((fw, dw)) + 1
-    flips = np.concatenate((np.where((fx == 0) == (fy == 0), 4, 2), np.full(len(dw), 2)))
+    diagonal = 2 if both_sides else 4
+    flips = np.concatenate((np.where((fx == 0) == (fy == 0), 4, 2), np.full(len(dw), diagonal)))
     orbit = flips * np.where(width < h, 2, 1)
     ay = np.concatenate((fy, np.full(len(dw), h)))
     bx = np.concatenate((fx, dx))
@@ -152,6 +156,32 @@ class TestWeightedCensus:
             for batch in batches[1:]:
                 folded = enumeration._merge([folded, batch])
             assert census_from_tables(n, [folded]) == census
+
+    # the census merges its height tables by key range on the pool; neither
+    # the ranges nor the thread count may change it: one key per range (more
+    # ranges than keys at n = 1, so some are empty), 7, and one range (567
+    # exceeds the 304 rows of the n = 3 tables)
+    @pytest.mark.parametrize("range_keys", [1, 7, 567])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_range_split_invariance(self, monkeypatch, range_keys, threads):
+        monkeypatch.setenv(tm.ENV_THREADS, threads)
+        monkeypatch.setattr(enumeration, "RANGE_KEYS", range_keys)
+        for n in (1, 2, 3):
+            tables = [enumeration._box_table(n, h) for h in range(1, 2 * n + 1)]
+            assert tm.enumerate_weighted(n) == census_from_tables(n, tables)
+
+    def test_one_diagonal_side_loses_nothing(self):
+        # the box's half turn pairs the diagonal rows on the two sides of the
+        # diagonal, so one side at twice the orbit gives every height's table
+        n = 31
+        side = 2 * n + 1
+        for h in range(1, 2 * n + 1):
+            width, orbit, _, keys = box_keys_int64(h, both_sides=True)
+            weights = orbit * (side - width) * (side - h)
+            ref_keys, ref_weights = enumeration._merge([(keys, weights)])
+            keys, weights = enumeration._box_table(n, h)
+            assert np.array_equal(keys, ref_keys)
+            assert np.array_equal(weights, ref_weights)
 
     def test_box_rows_sum_to_closed_form(self):
         for h in range(1, 21):
