@@ -297,6 +297,19 @@ PINNED_OUTPUTS = [
         "hist --samples 20000 --bins 16 --seed 3 --mode sorted --format json",
         "019a2b68c86e6eb5e1ac33bead701fb7c2446d0ca95e2df7c56847230a2b0420",
     ),
+    # four sampler blocks, the last partial and not a multiple of the slice size
+    (
+        "mc-obtuse --samples 200003 --seed 3",
+        "035b9d173a6ab6497150d8081e057e4d6e6767114faf0ce05437f879afe8876b",
+    ),
+    (
+        "mc-distance --samples 200003 --seed 3",
+        "2e4930c508bf9cb222826936e6a79ecb7030e3c79b6b4135b8bb195ab754dac0",
+    ),
+    (
+        "hist --samples 200003 --bins 16 --seed 3",
+        "372d0bc3c0e1ba26b82d3233af18b8e015c2f2bce89036fac608e2ca9ffa2b07",
+    ),
     (
         "plot-shapes --n 4",
         "ed88b6f05f73f3cd222e6fa32734456a17f82f183f1c7e9838da27a325d06e08",

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,12 +221,29 @@ class TestHistogram:
             tm.Histogram2D(counts, 2, 1, 0, True, obtuse_count=0)
 
 
-def _reference_block(seed, index, size, bins, labeled):
-    """The binning the kernel replaced: shape_grid over the six concatenated
-    float projections, or over the np.sort of the sides in sorted mode."""
-    u = randgeom._triangle_uniforms(block_generator(seed, index), size)
-    ab, bc, ca = randgeom._squared_sides_cols(u)
-    obtuse = int(np.count_nonzero(randgeom._obtuse_mask(ab, bc, ca)))
+def _reference_uniforms(gen, count):
+    """The whole-block draw: (count, 6) uniforms with exactly collinear rows
+    resampled from the same stream, in row order, until none is left."""
+    u = gen.random((count, 6))
+    while True:
+        cross = (u[:, 2] - u[:, 0]) * (u[:, 5] - u[:, 1]) - (u[:, 3] - u[:, 1]) * (
+            u[:, 4] - u[:, 0]
+        )
+        bad = cross == 0.0
+        if not bad.any():
+            return u
+        u[bad] = gen.random((int(bad.sum()), 6))
+
+
+def _reference_grid(u, bins, labeled):
+    """The binning the kernel replaced, over whole-block columns of the
+    uniforms u: shape_grid over the six concatenated float projections, or
+    over the np.sort of the sides in sorted mode; and the obtuse count."""
+    ab = (u[:, 2] - u[:, 0]) ** 2 + (u[:, 3] - u[:, 1]) ** 2
+    bc = (u[:, 4] - u[:, 2]) ** 2 + (u[:, 5] - u[:, 3]) ** 2
+    ca = (u[:, 0] - u[:, 4]) ** 2 + (u[:, 1] - u[:, 5]) ** 2
+    hi = np.maximum(np.maximum(ab, bc), ca)
+    obtuse = int(np.count_nonzero(hi > ab + bc + ca - hi + randgeom.OBTUSE_MARGIN))
     sides = normalized_sides(ab, bc, ca)
     if labeled:
         x = np.concatenate([sides[i] for i, _ in LABELED_PAIRS])
@@ -234,6 +252,11 @@ def _reference_block(seed, index, size, bins, labeled):
         tri = np.sort(np.stack(sides, axis=1), axis=1)
         x, y = tri[:, 0], tri[:, 1]
     return shape_grid((x, y), bins), obtuse
+
+
+def _reference_block(seed, index, size, bins, labeled):
+    u = _reference_uniforms(block_generator(seed, index), size)
+    return _reference_grid(u, bins, labeled)
 
 
 @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "sorted"])
@@ -248,6 +271,103 @@ def test_histogram_block_matches_reference(bins, size, labeled):
         ref_grid, ref_obtuse = _reference_block(seed, index, size, bins, labeled)
         assert np.array_equal(grid, ref_grid)
         assert obtuse == ref_obtuse
+
+
+class _Draws:
+    """A stand-in generator whose random() hands out the given arrays in
+    turn, each checked against the shape asked for."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, shape):
+        draw = self.draws.pop(0)
+        assert draw.shape == shape
+        return draw.copy()
+
+
+class TestCollinearResample:
+    LINE = (0.0, 0.0, 0.5, 0.5, 0.25, 0.25)  # c is the midpoint of a and b
+
+    def draws(self):
+        """A block whose rows SLICE_ROWS - 1 and SLICE_ROWS, the ends of two
+        slices, are collinear, and whose first resample is collinear again;
+        and the uniforms the stream must leave."""
+        last = randgeom.SLICE_ROWS
+        first = np.random.default_rng(1).random((last + 5, 6))
+        first[[last - 1, last]] = self.LINE
+        second = np.array([self.LINE, (0.1, 0.2, 0.9, 0.3, 0.4, 0.8)])
+        third = np.array([(0.7, 0.1, 0.2, 0.6, 0.9, 0.9)])
+        expected = first.copy()
+        expected[last - 1] = third[0]
+        expected[last] = second[1]
+        return (first, second, third), expected
+
+    def test_rows_are_resampled_from_the_stream_in_row_order(self):
+        draws, expected = self.draws()
+        gen = _Draws(*draws)
+        u = randgeom._triangle_uniforms(gen, len(expected))
+        assert np.array_equal(u, expected)
+        assert gen.draws == []
+        assert np.array_equal(_reference_uniforms(_Draws(*draws), len(expected)), expected)
+
+    def test_blocks_bin_the_resampled_rows(self, monkeypatch):
+        draws, expected = self.draws()
+        monkeypatch.setattr(randgeom, "block_generator", lambda seed, index: _Draws(*draws))
+        size = len(expected)
+        _, ref_hits = _reference_grid(expected, 2, True)
+        assert randgeom._obtuse_block(0, 0, size) == (ref_hits,)
+        for bins in (7, 64):
+            for labeled in (True, False):
+                grid, obtuse = randgeom._histogram_block(0, 0, size, bins, labeled)
+                if labeled:
+                    grid = grid + grid.T
+                ref_grid, ref_obtuse = _reference_grid(expected, bins, labeled)
+                assert np.array_equal(grid, ref_grid)
+                assert obtuse == ref_obtuse
+
+
+def _slice_results():
+    out = []
+    for size in (1, 5, 1000):
+        out.append(randgeom._obtuse_block(3, 1, size))
+        out.append(randgeom._distance_block(3, 1, size))
+        for labeled in (True, False):
+            grid, obtuse = randgeom._histogram_block(3, 1, size, 7, labeled)
+            out.append((grid.tolist(), obtuse))
+    for labeled in (True, False):
+        h = tm.shape_histogram(1000, 7, 3, labeled)
+        out.append((h.counts.tolist(), h.obtuse_count))
+    return out
+
+
+@pytest.mark.parametrize("slice_rows", [1, 7, tm.BLOCK_SAMPLES])
+def test_slice_split_invariance(monkeypatch, slice_rows):
+    base = _slice_results()
+    monkeypatch.setattr(randgeom, "SLICE_ROWS", slice_rows)
+    assert _slice_results() == base
+
+
+@pytest.mark.parametrize(
+    "block,bound",
+    [
+        (lambda: randgeom._obtuse_block(0, 0, tm.BLOCK_SAMPLES), 1.5),
+        (lambda: randgeom._histogram_block(0, 0, tm.BLOCK_SAMPLES, 64, True), 2.5),
+    ],
+    ids=["obtuse", "histogram64"],
+)
+def test_block_peak_is_bounded_by_its_uniforms(block, bound):
+    # a full block's uniforms are BLOCK_SAMPLES x 6 float64, 3 MiB; the
+    # passes after the draw work on slices of SLICE_ROWS rows
+    uniforms = tm.BLOCK_SAMPLES * 6 * 8
+    block()
+    tracemalloc.start()
+    try:
+        block()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * uniforms
 
 
 class TestMcEstimate:
