@@ -97,11 +97,19 @@ def shape_grid(coords, bins: int, pairs=((0, 1),), weights=None) -> np.ndarray:
     once: v falls in cell floor(v * bins), 1.0 in the last cell.  A point
     counts 1, or its integer weight (weights tiled once per pair), exact
     while the total stays below 2^53."""
-    k = [np.clip((v * bins).astype(np.int64), 0, bins - 1) for v in coords]
-    cells = np.concatenate([k[i] * bins + k[j] for i, j in pairs])
+    n = len(coords[0])
+    k = np.empty((len(coords), n), np.int64)
+    for v, cell in zip(coords, k):
+        # float64 product truncated as by astype, without a float temporary
+        np.multiply(v, bins, out=cell, casting="unsafe")
+    np.clip(k, 0, bins - 1, out=k)
+    cells = np.empty((len(pairs), n), np.int64)
+    for cell, (i, j) in zip(cells, pairs):
+        np.multiply(k[i], bins, out=cell)
+        cell += k[j]
     if weights is not None:
         weights = np.tile(np.asarray(weights, dtype=np.float64), len(pairs))
-    grid = np.bincount(cells, weights, minlength=bins * bins)
+    grid = np.bincount(cells.ravel(), weights, minlength=bins * bins)
     return grid.astype(np.int64, copy=False).reshape(bins, bins)
 
 

@@ -11,7 +11,10 @@ chunk as str, and the caller joins the chunks once.  Integers are printed in
 9-digit uint32 limbs.  Weighted-set floats come from an exact uint64 kernel
 that reproduces repr's shortest round-trip digits for every float in
 [1e-4, 1), where each census coordinate at n <= 64 lies, and from repr
-itself elsewhere.
+itself elsewhere.  The kernel takes a column's rows one binary exponent at
+a time, so each of its constants is a scalar: the b and c columns of a
+census lie in [1/2, 1), one exponent each.  A float field has as many rows
+of zeros after the point as its column needs, none for b and c.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,13 +72,41 @@ _WSET_FORMATS = {
 _POW10 = np.uint64(10) ** np.arange(20, dtype=np.uint64)
 # the names of moduli.angle_class 0, 1 and 2, one column each
 _ANGLES = np.array([b"acute", b"right", b"obtuse"]).view(np.uint8).reshape(3, -1).T
-# by binary exponent e = -13..0 of a float x = m 2^(e - 53) in [1e-4, 1): the
-# decimal scale K, the largest with 2^e 10^K <= 2^63, so 2^62 / 10 < x 10^K < 2^63;
-# 5^K < 2^52; and t = 55 - e - K, so that x 10^K = 4m 5^K / 2^t
-_FLOAT_K = np.array([len(str(1 << (63 - e))) - 1 for e in range(-13, 1)], dtype=np.uint64)
-_FLOAT_5K = np.uint64(5) ** _FLOAT_K
-_FLOAT_T = np.arange(68, 54, -1, dtype=np.uint64) - _FLOAT_K
-_LOW32 = np.uint64(0xFFFFFFFF)
+# by the exponent field x.view(uint64) >> 52 of a float x = m 2^(e - 53) in
+# [1e-4, 1), e = -13..0, 2^52 <= m < 2^53: the decimal scale K, the largest
+# with 2^e 10^K <= 2^63, so 2^62 / 10 < x 10^K < 2^e 10^K, which is below
+# 0.85 2^63 at every e, and 10^K is exact in float64; t = 55 - e - K, so that
+# x 10^K = 4m 5^K / 2^t; and the half-width 2 5^K / 2^t of the decimals that
+# read back as x, as g + g_r / 2^t
+class _Exponent(NamedTuple):
+    k: int
+    scale: float  # 10^K
+    t: int
+    f4: np.uint64  # 4 5^K
+    hidden: np.uint64  # 2^54 5^K mod 2^64, the term of m's leading bit
+    g: int
+    g_r: int
+    low_t: np.uint64  # 2^t - 1
+
+
+def _exponent(e: int) -> _Exponent:
+    k = len(str(1 << (63 - e))) - 1
+    f, t = 5**k, 55 - e - k
+    return _Exponent(
+        k, 10.0**k, t, np.uint64(4 * f), np.uint64((f << 54) % (1 << 64)),
+        (2 * f) >> t, (2 * f) % (1 << t), np.uint64((1 << t) - 1),
+    )
+
+
+_FLOAT_EXPONENTS = {1022 + e: _exponent(e) for e in range(-13, 1)}
+_MANTISSA = np.uint64((1 << 52) - 1)
+
+
+def _wset_format(fmt):
+    """The weighted-set format named fmt; GuardError for any other value."""
+    if not isinstance(fmt, str) or fmt not in _WSET_FORMATS:
+        raise GuardError(f"unsupported weighted-set format {fmt!r}")
+    return _WSET_FORMATS[fmt]
 
 
 def _json_doc(schema: str, **body) -> str:
@@ -101,7 +133,10 @@ def _int_bytes(v) -> np.ndarray:
         rest, end = high, end - 9
     _limb_digits(out[:end], rest.astype(np.uint32))
     out += 48
-    out[:-1] *= v >= _POW10[width - 1 : 0 : -1, None]
+    # only the rows that the shortest value leaves empty take the mask: a
+    # float column's 16- and 17-digit q need one, not 16
+    short = width - len(str(int(v.min())))
+    out[:short] *= v >= _POW10[width - 1 : width - 1 - short : -1, None]
     return out
 
 
@@ -115,60 +150,74 @@ def _limb_digits(out, limb) -> None:
         limb = tens
 
 
-def _mul_shift(v, f, t):
-    """floor(v f / 2^t) and v f mod 2^t of uint64 columns, for v < 2^56,
-    f < 2^52, t < 64 and a quotient below 2^64: the product in 32-bit limbs."""
-    vh, vl, fh, fl = v >> 32, v & _LOW32, f >> 32, f & _LOW32
-    mid = vh * fl + vl * fh
-    lo = vl * fl
-    low = lo + (mid << 32)  # the low 64 bits of the product, wrapped
-    high = vh * fh + (mid >> 32) + (low < lo)
-    return (high << (64 - t)) | (low >> t), low & ((1 << t) - 1)
-
-
 def _shortest_digits(x):
     """The shortest decimal that reads back as x, for float64 x in [1e-4, 1),
     nearest to x and ties to even, as repr prints it (Steele & White 1990;
     Adams 2018): uint64 digits q without trailing zeros and the number of
-    zeros between the decimal point and them, all exact in uint64."""
-    mant, exp = np.frexp(x)
-    m = (mant * 2.0**53).astype(np.uint64)
-    i = (exp + 13).astype(np.intp)
-    k, f, t = _FLOAT_K[i], _FLOAT_5K[i], _FLOAT_T[i]
-    # x 10^K = xk + r / 2^t, and the midpoints to the neighbours of x lie
-    # g = 2 5^K / 2^t above and below it.  As (2m +- 1) 5^K / 2^(t - 1) they
-    # are never integers, so the integers that read back as x are
-    # floor(x 10^K - g) + 1 .. floor(x 10^K + g), whatever the parity of m.
-    # (Below x = 2^-i the midpoint is g / 2 away, but x 10^K = 5^i 10^(K - i),
+    zeros between the decimal point and them, exact in uint64 arithmetic.
+    The rows are taken one binary exponent at a time, so that every constant
+    is a scalar."""
+    exps = x.view(np.uint64) >> 52
+    first, last = int(exps.min()), int(exps.max())
+    if first == last:
+        return _exponent_digits(x, _FLOAT_EXPONENTS[first])
+    q, zeros = np.empty(len(x), np.uint64), np.empty(len(x), np.int64)
+    for e in range(first, last + 1):
+        rows = np.flatnonzero(exps == e)
+        if rows.size:
+            q[rows], zeros[rows] = _exponent_digits(x[rows], _FLOAT_EXPONENTS[e])
+    return q, zeros
+
+
+def _exponent_digits(x, c: _Exponent):
+    """_shortest_digits of values that share the binary exponent of c."""
+    # the low 64 bits of 4m 5^K = xk 2^t + r, xk = floor(x 10^K), by one
+    # wrapping multiply.  x 10^K rounded to float64 is an int64 estimate
+    # within 2^10 of xk, and low >> t holds the low 64 - t >= 18 bits of xk,
+    # so low minus the estimate times 2^t, read as signed and shifted down
+    # by t, is xk minus the estimate
+    low = (x.view(np.uint64) & _MANTISSA) * c.f4 + c.hidden
+    est = (x * c.scale).astype(np.int64).view(np.uint64)
+    xk = est + ((low - (est << c.t)).view(np.int64) >> c.t).view(np.uint64)
+    r = low & c.low_t
+    # the midpoints to the neighbours of x lie g + g_r / 2^t above and below
+    # x 10^K.  As (2m +- 1) 5^K / 2^(t - 1) they are never integers, so the
+    # integers that read back as x are lo .. hi, whatever the parity of m.
+    # (Below x = 2^-i the midpoint is half as far, but x 10^K = 5^i 10^(K - i),
     # i <= 13, has far fewer digits than any other candidate in reach.)
-    xk, r = _mul_shift(4 * m, f, t)
-    low = (1 << t) - 1
-    g, g_r = (2 * f) >> t, (2 * f) & low
-    lo = xk - g - (r < g_r) + 1
-    hi = xk + g + ((r + g_r) >> t)
-    # the largest power of ten 10^j with a multiple in [lo, hi].  Once a
-    # power has none, no larger one has, so the first steps, where most rows
-    # stop, count over all rows; only the rows still going are compacted
-    j = np.zeros(len(m), np.uint64)
-    up, down = lo, hi
-    for _ in range(3):
-        up, down = (up + 9) // 10, down // 10
-        j += up <= down
-    rows = np.flatnonzero(j == 3)
-    up, down = up[rows], down[rows]
-    while rows.size:
-        up, down = (up + 9) // 10, down // 10
-        keep = up <= down
-        rows, up, down = rows[keep], up[keep], down[keep]
-        j[rows] += 1
-    # the multiple q 10^j nearest to x 10^K, ties to even: [lo, hi] is
-    # symmetric about x 10^K, so it holds the nearest multiple when it holds one
-    d = _POW10[j]
+    lo = xk - (c.g - 1) - (r < c.g_r)
+    hi = xk + c.g + ((r + c.g_r) >> c.t)
+    # q 10^j for the largest power of ten 10^j with a multiple in [lo, hi].
+    # Once a power has none, no larger one has, and 2g >= 108, so every row
+    # has j >= 2.  All rows round at j = 2, the rows with a multiple of 10^3
+    # again at j = 3, and of those the ones with a multiple of 10^4 at j = 4,
+    # each step by a scalar divisor.  The rows left, about 2g / 10^4 of them
+    # and short decimals such as 0.25, test the larger powers in one step
+    q, zeros = _nearest_multiple(xk, r, 100, c.k)
+    rows = np.arange(len(x))
+    for d in (1000, 10000):
+        go = np.flatnonzero(hi // d * d >= lo)
+        rows, xk, r, lo, hi = rows[go], xk[go], r[go], lo[go], hi[go]
+        q[rows], zeros[rows] = _nearest_multiple(xk, r, d, c.k)
+    d = _POW10[5:19]
+    j = 4 + np.count_nonzero(hi[:, None] // d * d >= lo[:, None], axis=1)
+    go = np.flatnonzero(j > 4)
+    rows = rows[go]
+    q[rows], zeros[rows] = _nearest_multiple(xk[go], r[go], _POW10[j[go]], c.k)
+    return q, zeros
+
+
+def _nearest_multiple(xk, r, d, k: int):
+    """(q, zeros) for the multiple q d of the power of ten d nearest to
+    x 10^K = xk + r / 2^t, ties to even.  [lo, hi] is symmetric about
+    x 10^K, so it holds the nearest multiple when it holds one."""
     q = xk // d
     rem, half = xk - q * d, d // 2
-    q += (rem > half) | ((rem == half) & ((r > 0) | ((q & 1) == 1)))
-    # 10^17 < lo <= q 10^j <= hi < 2^63: q 10^j has 18 or 19 digits
-    return q, k - 18 - (q * d >= _POW10[18])
+    q += rem > half
+    ties = np.flatnonzero(rem == half)
+    q[ties] += (r[ties] > 0) | (q[ties] & 1 == 1)
+    # 10^17 < lo <= q d <= hi < 2^63: q d has 18 or 19 digits
+    return q, (k - 18) - (q >= _POW10[18] // d)
 
 
 def _float_bytes(x) -> np.ndarray:
@@ -178,7 +227,8 @@ def _float_bytes(x) -> np.ndarray:
     q, zeros = _shortest_digits(np.where(outside, 0.5, x))
     field = np.concatenate((
         _literal("0.", len(x)),
-        np.where(np.arange(3, dtype=np.uint64)[:, None] < zeros, np.uint8(48), np.uint8(0)),
+        # as many zero rows as the column has zeros after the point at most
+        np.where(np.arange(zeros.max())[:, None] < zeros, np.uint8(48), np.uint8(0)),
         _int_bytes(q),
     ))
     if outside.any():
@@ -234,9 +284,7 @@ def _rows_text(head: str, template, fields_of, rows: int, tail: str) -> str:
 def export_weighted_set(s: WeightedShapeSet, fmt: str = "csv") -> str:
     """Serialize a weighted census, rows sorted by (p, q, r) and formatted
     CHECK_ROWS at a time."""
-    if fmt not in _WSET_FORMATS:
-        raise GuardError(f"unsupported weighted-set format {fmt!r}")
-    head, row, tail, _ = _WSET_FORMATS[fmt]
+    head, row, tail, _ = _wset_format(fmt)
     cols = s.columns()
 
     def fields_of(start):
@@ -255,10 +303,9 @@ def read_weighted_set(text: str, fmt: str = "csv") -> WeightedShapeSet:
     """Parse a weighted census produced by export_weighted_set: the format's
     row pattern finds p, q, r and weight for from_columns.  GuardError unless
     the text is, byte for byte, the export of that census."""
-    if fmt not in _WSET_FORMATS:
-        raise GuardError(f"unsupported weighted-set format {fmt!r}")
+    pattern = _wset_format(fmt)[3]
     try:
-        rows = np.array(_WSET_FORMATS[fmt][3].findall(text), dtype=np.int64).reshape(-1, 4)
+        rows = np.array(pattern.findall(text), dtype=np.int64).reshape(-1, 4)
         s = WeightedShapeSet.from_columns(*rows.T)
     except (ValueError, OverflowError) as exc:
         raise GuardError(f"text is not a {fmt} weighted-set export: {exc}") from None

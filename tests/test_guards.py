@@ -68,3 +68,15 @@ def test_check_real_rejects_other_values_and_values_below_lo(value):
 def test_approx_eps_inf_exits_3(capsys):
     assert main(["approx", "--a", "3", "--b", "4", "--c", "5", "--eps", "inf"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", [["csv"], {"csv": "csv"}, {"csv"}], ids=["list", "dict", "set"])
+@pytest.mark.parametrize("entry", ["export", "read"])
+def test_unhashable_weighted_set_format_is_a_guard_error(entry, fmt):
+    s = tm.enumerate_naive((0, 1, 0, 1))
+    call = {
+        "export": lambda: tm.export_weighted_set(s, fmt),
+        "read": lambda: tm.read_weighted_set(tm.export_weighted_set(s, "csv"), fmt),
+    }[entry]
+    with pytest.raises(tm.GuardError, match="^unsupported weighted-set format"):
+        call()

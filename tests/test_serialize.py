@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -322,6 +323,113 @@ class TestShortestFloatKernel:
         assert tm.export_weighted_set(s, "csv").splitlines()[2:] == csv_rows
         assert f'"entries": [{", ".join(json_rows)}]' in tm.export_weighted_set(s, "json")
         assert tm.export_weighted_set(s, "json") == _json_by_dicts(s)
+
+
+# the float kernel before it took one binary exponent at a time: per-row
+# constants and the exact product in 32-bit limbs.  The reference the
+# scalar kernel is checked against, bit for bit
+_LIMB_K = np.array([len(str(1 << (63 - e))) - 1 for e in range(-13, 1)], dtype=np.uint64)
+_LIMB_T = np.arange(68, 54, -1, dtype=np.uint64) - _LIMB_K
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _mul_shift(v, f, t):
+    """floor(v f / 2^t) and v f mod 2^t of uint64 columns, for v < 2^56,
+    f < 2^52, t < 64 and a quotient below 2^64: the product in 32-bit limbs."""
+    vh, vl, fh, fl = v >> 32, v & _LOW32, f >> 32, f & _LOW32
+    mid = vh * fl + vl * fh
+    lo = vl * fl
+    low = lo + (mid << 32)
+    high = vh * fh + (mid >> 32) + (low < lo)
+    return (high << (64 - t)) | (low >> t), low & ((1 << t) - 1)
+
+
+def shortest_digits_limbs(x):
+    """(q, zeros) of float64 x in [1e-4, 1) by per-row tables and limbs."""
+    mant, exp = np.frexp(x)
+    m = (mant * 2.0**53).astype(np.uint64)
+    i = (exp + 13).astype(np.intp)
+    k, t = _LIMB_K[i], _LIMB_T[i]
+    f = np.uint64(5) ** k
+    xk, r = _mul_shift(4 * m, f, t)
+    low = (1 << t) - 1
+    g, g_r = (2 * f) >> t, (2 * f) & low
+    lo = xk - g - (r < g_r) + 1
+    hi = xk + g + ((r + g_r) >> t)
+    j = np.zeros(len(m), np.uint64)
+    up, down = lo, hi
+    rows = np.arange(len(m))
+    while rows.size:
+        up, down = (up + 9) // 10, down // 10
+        keep = up <= down
+        rows, up, down = rows[keep], up[keep], down[keep]
+        j[rows] += 1
+    d = np.uint64(10) ** j
+    q = xk // d
+    rem, half = xk - q * d, d // 2
+    q += (rem > half) | ((rem == half) & ((r > 0) | ((q & 1) == 1)))
+    return q, k.astype(np.int64) - 18 - (q * d >= 10**18)
+
+
+class TestScalarFloatKernel:
+    """_shortest_digits takes one binary exponent at a time with scalar
+    constants; it gives the (q, zeros) of the per-row limb kernel."""
+
+    def test_every_census_column_at_n31(self, s31):
+        for x in normalized_sides(*s31.columns()[:3]):
+            q, zeros = serialize._shortest_digits(x)
+            ref_q, ref_zeros = shortest_digits_limbs(x)
+            np.testing.assert_array_equal(q, ref_q)
+            np.testing.assert_array_equal(zeros, ref_zeros)
+
+    def test_around_powers_of_two_and_the_lower_end(self):
+        near = [_float_neighbours(2.0**-k, 40, 40) for k in range(14)] + [
+            _float_neighbours(1e-4, 40, 40)
+        ]
+        x = np.array([v for v in sum(near, []) if 1e-4 <= v < 1.0])
+        assert len(x) == 15 * 81 - 41 - 40  # 1.0 and above, and below 1e-4, left out
+        q, zeros = serialize._shortest_digits(x)
+        ref_q, ref_zeros = shortest_digits_limbs(x)
+        np.testing.assert_array_equal(q, ref_q)
+        np.testing.assert_array_equal(zeros, ref_zeros)
+
+    def test_table_facts_the_kernel_relies_on(self):
+        exponents = serialize._FLOAT_EXPONENTS
+        assert sorted(exponents) == [1022 + e for e in range(-13, 1)]
+        for field, c in exponents.items():
+            e = field - 1022
+            # [lo, hi] holds a multiple of 100, so every row has j >= 2
+            assert 2 * c.g >= 100
+            # low >> t keeps enough bits of xk to correct the float estimate
+            assert 64 - c.t >= 12
+            # x 10^K < 2^e 10^K stays below 2^63 after rounding to float64,
+            # so the estimate fits int64, and 10^K is exact
+            assert Fraction(2) ** e * 10**c.k < 2**63 - 2**10
+            assert c.k <= 22 and float(10**c.k) == 10**c.k == c.scale
+            assert c.t == 55 - e - c.k and 2 * 5**c.k == c.g * 2**c.t + c.g_r
+
+
+class TestFloatZeroRows:
+    """The float field has as many zero rows as its column's largest count
+    of zeros after the point."""
+
+    @pytest.mark.parametrize(
+        "values, zero_rows",
+        [
+            ([0.5, 0.25, 0.8284271247461902, 0.125], 0),
+            ([1.0, 2.5, 5e-324], 0),
+            ([0.5, 0.0123, 0.00042, 0.9, 1e-4, 0.031], 3),
+        ],
+        ids=["no-leading-zeros", "outside-the-kernel", "mixed-exponents"],
+    )
+    def test_zero_rows_follow_the_column(self, values, zero_rows):
+        x = np.array(values)
+        inside = [v for v in values if 1e-4 <= v < 1.0] or [0.5]
+        digits = max(len(repr(v).lstrip("0.")) for v in inside)
+        kernel_rows = len("0.") + zero_rows + digits
+        field = serialize._float_bytes(x)
+        assert len(field) == max(kernel_rows, *map(len, map(repr, values)))
+        assert _float_texts(values) == [repr(v) for v in values]
 
 
 def _listing(rows, fmt):
