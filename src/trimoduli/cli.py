@@ -7,13 +7,14 @@ and main writes that text to --out, or to stdout for '-'.
 
 Exit codes: 0 success, 2 usage errors (argparse), 3 violated guards
 (GuardError) or other invalid values (ValueError), 4 failed numeric
-post-conditions (PrecisionError), 1 I/O failures.  The Monte Carlo
-sampler blocks, the box heights of the census and of the obtuse curve,
-the key ranges that merge their height tables, the slice checks of
-from_columns and the export chunks run on threads of this process, so
-an exception raised in one reaches main with its own type.  All outputs
-are deterministic for identical flags; TRIMODULI_THREADS only sets the
-thread count and never changes bytes.
+post-conditions (PrecisionError), 1 I/O failures and running out of
+memory (MemoryError).  Exits 1, 3 and 4 print one ``error:`` line to
+stderr.  The Monte Carlo sampler blocks, the box heights of the census
+and of the obtuse curve, the key ranges that merge their height tables,
+the slice checks of from_columns and the export chunks run on threads of
+this process, so an exception raised in one reaches main with its own
+type.  All outputs are deterministic for identical flags;
+TRIMODULI_THREADS only sets the thread count and never changes bytes.
 """
 
 from __future__ import annotations
@@ -149,6 +150,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         name = getattr(exc, "filename", None) or "<io>"
         print(f"error: {name}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; try a smaller size or fewer threads", file=sys.stderr)
         return 1
 
 

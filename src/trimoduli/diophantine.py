@@ -6,11 +6,18 @@ convergents of x, which by Legendre's best-approximation property contain
 the smallest m with |m x - n| < eps.  The 2-D approximator scans
 m = 1, 2, ... in order; pigeonhole on the fractional-part square only
 supplies the bound m <= (floor(1/eps) + 1)^2 that sets EPS_FLOOR_2D.
+Each window of the scan screens the x residuals first and tests the y
+residual only on the rows that pass, with the same tolerance.
 
 Shape approximants come from the same kind of scan: place the target on
 the unit base, scale by m = 1, 2, ... and round the apex to the nearest
 lattice point.  The first m whose triangle lands within eps is returned,
-so the witness is the smallest base along that ray.
+so the witness is the smallest base along that ray.  The filter sorts
+each row's three sides by min/max selection.
+
+Both scans run over windows of m that start at _FIRST_WINDOW = 256 rows,
+which holds every c09 grid witness at eps = 1e-3, and double up to
+_SCAN_BLOCK = 2^16.  Every window reuses one pair of scratch arrays.
 
 Dirichlet witnesses are verified both exactly, on the dyadic rational
 Fraction(x), and in float; shape witnesses on their exact similarity key.
@@ -109,16 +116,25 @@ def dirichlet_1d(x: float, eps: float) -> tuple[int, int]:
     return q, found[0]
 
 
+# The first window covers the c09 grid's witnesses at eps = 1e-3 (base m
+# at most 215), so those targets take one window each
+_FIRST_WINDOW = 256
 _SCAN_BLOCK = 1 << 16
 
 
 def _windows(stop: int):
-    """m = 1, 2, ..., stop - 1 as float64 arrays, in order, in windows that
-    double from 64 up to _SCAN_BLOCK."""
-    lo, width = 1, 64
+    """(m, u, v) for m = 1, 2, ..., stop - 1 in order, as float64 windows
+    that double from _FIRST_WINDOW up to _SCAN_BLOCK; u and v are scratch
+    arrays of m's length.  Every window reuses one scratch pair, regrown as
+    the windows double: fresh full-width temporaries in each window would
+    be handed back to the OS when freed and faulted in again."""
+    lo, width = 1, _FIRST_WINDOW
+    scratch = np.empty((2, 0))
     while lo < stop:
         hi = min(lo + width, stop)
-        yield np.arange(lo, hi, dtype=np.float64)
+        if scratch.shape[1] < hi - lo:
+            scratch = np.empty((2, hi - lo))
+        yield np.arange(lo, hi, dtype=np.float64), *scratch[:, : hi - lo]
         lo, width = hi, min(2 * width, _SCAN_BLOCK)
 
 
@@ -130,20 +146,27 @@ def dirichlet_2d(x: float, y: float, eps: float) -> DirichletApproximant:
     Scans m = 1, 2, ... in vectorized windows on the fractional parts of x
     and y, filters on the float residuals and verifies the survivors in
     order of m.  Pigeonhole on B x B boxes, B = floor(1/eps) + 1, gives an
-    exact witness with m <= B^2; finding none there raises PrecisionError."""
+    exact witness with m <= B^2; finding none there raises PrecisionError.
+    Raises GuardError when m x or m y could overflow float64 for such m."""
     x = check_real(x, "x")
     y = check_real(y, "y")
     eps = check_real(eps, "eps", EPS_FLOOR_2D)
+    stop = (int(1.0 / eps) + 1) ** 2 + 1
+    if not math.isfinite(max(abs(x), abs(y)) * stop):
+        raise GuardError(
+            f"m * x or m * y overflows float64 for m <= {stop - 1}: ({x!r}, {y!r})"
+        )
     fx = math.fmod(x, 1.0)  # exact, and |fx| < 1
     fy = math.fmod(y, 1.0)
-    stop = (int(1.0 / eps) + 1) ** 2 + 1
-    for m in _windows(stop):
+    for m, rx, u in _windows(stop):
         # m * f is off by at most m * 2^-53, so this tolerance never drops
         # a row whose exact residual is below eps
         tol = eps + m[-1] * 2.0**-52
-        mx = m * fx
-        my = m * fy
-        near = (np.abs(mx - np.rint(mx)) < tol) & (np.abs(my - np.rint(my)) < tol)
+        np.multiply(m, fx, out=rx)
+        rx -= np.rint(rx, out=u)
+        near = np.flatnonzero(np.abs(rx, out=rx) < tol)
+        ry = m[near] * fy
+        near = near[np.abs(ry - np.rint(ry)) < tol]
         for k in m[near]:
             k = int(k)
             wx = _witness(k, x, eps)
@@ -179,30 +202,42 @@ def approximate_shape(target: ShapeTriple, eps: float) -> LatticeTriangle:
 
     Scans the ray of the unit-base placement: with (x, y) the apex from
     shape_to_vertex, the candidates are (0,0), (m,0), (rint(m x), rint(m y))
-    for m = 1, 2, ... from _windows.  Rows with
-    a zero apex height are degenerate and skipped; the rest are filtered by
-    their float distance and checked in order of m against the exact key's
-    shape.  Returns the first candidate that passes, i.e. the smallest base
-    on the ray.  Raises PrecisionError once m reaches _MAX_BASE, the bound
+    for m = 1, 2, ... from _windows.  Rows with a zero apex height are
+    degenerate and dropped (only in windows that hold some); the rest are
+    filtered by their float distance and checked in order of m against the
+    exact key's shape.  Returns the first candidate that passes, i.e. the
+    smallest base on the ray.  Raises PrecisionError once m reaches _MAX_BASE, the bound
     that keeps every squared side exact in float64."""
     eps = check_real(eps, "eps", EPS_FLOOR_SHAPE)
     apex = shape_to_vertex(target)
-    goal = np.array(target.triple).reshape(3, 1)
+    ga, gb, gc = target.triple
     # the filter runs on unreduced sides and may differ from the verified
     # distance in the last bits; the slack keeps it from dropping a row
     # the verification would accept, so the first verified m is minimal
     loose = eps * (1.0 + 1e-9)
-    for m in _windows(_MAX_BASE):
-        cx = np.rint(m * apex.x)
-        cy = np.rint(m * apex.y)
+    for m, cx, cy in _windows(_MAX_BASE):
+        np.rint(np.multiply(m, apex.x, out=cx), out=cx)
+        np.rint(np.multiply(m, apex.y, out=cy), out=cy)
         keep = cy != 0.0
-        m, cx, cy = m[keep], cx[keep], cy[keep]
-        sides = np.sort(
-            np.stack(normalized_sides(cx * cx + cy * cy, (m - cx) ** 2 + cy * cy, m * m)),
-            axis=0,
-        )
-        dist = np.sqrt(np.square(sides - goal).sum(axis=0))
-        for i in np.flatnonzero(dist < loose):
+        if not keep.all():
+            m, cx, cy = m[keep], cx[keep], cy[keep]
+        cy2 = cy * cy
+        a, b, c = normalized_sides(cx * cx + cy2, (m - cx) ** 2 + cy2, m * m)
+        # min/max selection gives the sorted sides as the same floats a
+        # sort would, and the squares add in sorted order, so the slack
+        # above still covers every difference from the verified distance
+        ab_lo = np.minimum(a, b)
+        ab_hi = np.maximum(a, b)
+        lo = np.minimum(ab_lo, c)
+        mid = np.maximum(ab_lo, np.minimum(ab_hi, c))
+        hi = np.maximum(ab_hi, c)
+        lo -= ga
+        mid -= gb
+        hi -= gc
+        dist = lo * lo
+        dist += mid * mid
+        dist += hi * hi
+        for i in np.flatnonzero(np.sqrt(dist, out=dist) < loose):
             cand = LatticeTriangle(
                 LatticePoint(0, 0),
                 LatticePoint(int(m[i]), 0),
@@ -216,9 +251,12 @@ def approximate_shape(target: ShapeTriple, eps: float) -> LatticeTriangle:
 
 
 def weyl_sequence(x: float, count: int) -> np.ndarray:
-    """Fractional parts {x}, {2x}, ..., {count*x} as a float64 array."""
+    """Fractional parts {x}, {2x}, ..., {count*x} as a float64 array.
+    Raises GuardError when count*x overflows float64."""
     x = check_real(x, "x")
     count = check_int_range(count, "count", 1, MAX_WEYL_COUNT)
+    if not math.isfinite(count * abs(x)):
+        raise GuardError(f"count * x overflows float64: count={count}, x={x!r}")
     k = np.arange(1, count + 1, dtype=np.float64)
     k *= x
     return np.mod(k, 1.0, out=k)

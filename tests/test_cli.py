@@ -135,6 +135,18 @@ class TestExitCodes:
         assert "error: height failed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_memory_is_1(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(n, h):
+            raise MemoryError
+
+        monkeypatch.setenv(tm.ENV_THREADS, "2")
+        monkeypatch.setattr("trimoduli.enumeration._box_table", out_of_memory)
+        out = tmp_path / "census.csv"
+        assert main(["enumerate", "--n", "4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         ("error", "code"), [(tm.PrecisionError, 4), (tm.GuardError, 3)], ids=["precision", "guard"]
     )

@@ -20,6 +20,15 @@ from trimoduli.diophantine import (
     PlaneVertex,
     shape_to_vertex,
 )
+from trimoduli.moduli import normalized_sides
+
+# the (x, y) cases of TestDirichlet2D.test_witness_is_smallest
+DIRICHLET_CASES = [
+    (math.sqrt(2.0), math.sqrt(3.0)),
+    (math.sqrt(2.0), math.e),
+    (math.pi, -2.73),
+    (0.01, 1.0 / 7.0),
+]
 
 
 def _passes(m, x, eps):
@@ -121,6 +130,9 @@ class TestDirichlet2D:
             tm.dirichlet_2d(0.5, float("inf"), 0.1)
         with pytest.raises(tm.GuardError):
             tm.dirichlet_2d(0.5, 0.5, EPS_FLOOR_2D / 2)
+        # m * x overflows float64 from m = 2 on
+        with pytest.raises(tm.GuardError):
+            tm.dirichlet_2d(1e308, 0.5, 1e-3)
 
     def test_approximant_validation(self):
         with pytest.raises(ValueError):
@@ -238,6 +250,106 @@ class TestApproximateShape:
             tm.approximate_shape(s, EPS_FLOOR_SHAPE / 2)
 
 
+def _reference_windows(stop):
+    """m = 1, ..., stop - 1 in float64 windows doubling from 64 to 2^16."""
+    lo, width = 1, 64
+    while lo < stop:
+        hi = min(lo + width, stop)
+        yield np.arange(lo, hi, dtype=np.float64)
+        lo, width = hi, min(2 * width, 1 << 16)
+
+
+def _reference_approximate_shape(target, eps):
+    """The shape scan with a stack-and-sort window filter: degenerate rows
+    compressed away in every window, the three sides stacked and sorted
+    with np.sort, then the same exact verification."""
+    apex = shape_to_vertex(target)
+    goal = np.array(target.triple).reshape(3, 1)
+    for m in _reference_windows(1 << 24):
+        cx = np.rint(m * apex.x)
+        cy = np.rint(m * apex.y)
+        keep = cy != 0.0
+        m, cx, cy = m[keep], cx[keep], cy[keep]
+        sides = np.sort(
+            np.stack(normalized_sides(cx * cx + cy * cy, (m - cx) ** 2 + cy * cy, m * m)),
+            axis=0,
+        )
+        dist = np.sqrt(np.square(sides - goal).sum(axis=0))
+        for i in np.flatnonzero(dist < eps * (1.0 + 1e-9)):
+            cand = tm.LatticeTriangle(
+                tm.LatticePoint(0, 0),
+                tm.LatticePoint(int(m[i]), 0),
+                tm.LatticePoint(int(cx[i]), int(cy[i])),
+            )
+            if tm.shape_of(tm.similarity_key(cand)).distance_to(target) < eps:
+                return cand
+    raise tm.PrecisionError(f"no approximant for {target}")
+
+
+def _reference_dirichlet_2d(x, y, eps):
+    """The 2-D scan with the joint screen: x and y residuals both tested
+    over the whole window, then the same exact verification."""
+    fx, fy = math.fmod(x, 1.0), math.fmod(y, 1.0)
+    for m in _reference_windows((int(1.0 / eps) + 1) ** 2 + 1):
+        tol = eps + m[-1] * 2.0**-52
+        mx, my = m * fx, m * fy
+        near = (np.abs(mx - np.rint(mx)) < tol) & (np.abs(my - np.rint(my)) < tol)
+        for k in m[near]:
+            k = int(k)
+            if _passes(k, x, eps) and _passes(k, y, eps):
+                return k, round(k * Fraction(x)), round(k * Fraction(y))
+    raise tm.PrecisionError(f"no witness for ({x}, {y})")
+
+
+def _random_shapes(count, seed):
+    """Seeded shapes spread over the sorted region, kept clear of the
+    degenerate edge."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    while len(shapes) < count:
+        a, b = 0.99 * rng.random(2)
+        sides = sorted((a, b, 2.0 - a - b))
+        if sides[0] > 0.02 and sides[2] < 0.98 and sides[0] + sides[1] > sides[2] + 0.01:
+            shapes.append(tm.ShapeTriple(*sides))
+    return shapes
+
+
+def _vertices(tri):
+    return [(p.x, p.y) for p in tri.vertices]
+
+
+class TestScanReferences:
+    """The window filters against their stack-and-sort and joint-screen
+    references: the same witnesses, vertex for vertex."""
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_grid_matches_reference(self, eps):
+        for target in _target_grid():
+            got = tm.approximate_shape(target, eps)
+            assert _vertices(got) == _vertices(_reference_approximate_shape(target, eps))
+
+    def test_random_shapes_match_reference(self):
+        for target in _random_shapes(300, 20261021):
+            got = tm.approximate_shape(target, 1e-3)
+            assert _vertices(got) == _vertices(_reference_approximate_shape(target, 1e-3))
+
+    @pytest.mark.parametrize(
+        "x, y, eps",
+        [(x, y, eps) for eps in (1e-2, 1e-3) for x, y in DIRICHLET_CASES]
+        + [(math.sqrt(2.0), math.sqrt(3.0), 1e-4)],
+    )
+    def test_dirichlet_2d_matches_reference(self, x, y, eps):
+        a = tm.dirichlet_2d(x, y, eps)
+        assert (a.m, a.nx, a.ny) == _reference_dirichlet_2d(x, y, eps)
+
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_window_split_does_not_change_witnesses(self, monkeypatch, width):
+        grid = _target_grid()
+        want = [_vertices(tm.approximate_shape(t, 1e-3)) for t in grid]
+        monkeypatch.setattr("trimoduli.diophantine._FIRST_WINDOW", width)
+        assert [_vertices(tm.approximate_shape(t, 1e-3)) for t in grid] == want
+
+
 class TestEquilateralApproximant:
     """approximate_shape on the equilateral target, which no lattice
     triangle realizes exactly."""
@@ -308,3 +420,6 @@ class TestWeyl:
         for count in (MAX_WEYL_COUNT + 1, sys.maxsize):
             with pytest.raises(tm.GuardError):
                 tm.weyl_sequence(math.sqrt(2.0), count)
+        # k * x overflows float64 from k = 2 on, which would give NaN points
+        with pytest.raises(tm.GuardError):
+            tm.weyl_sequence(1e308, 3)
